@@ -27,7 +27,7 @@ from .phi_scheme import (
 )
 from .wootters import wootters_concurrence, verify_dicke2_equality
 from .heuristic import XHeuristicResult, stationary_check, x_heuristic
-from .bench import SweepRecord, TimingSummary, bench_timing, sweep_dicke, sweep_ds
+from .bench import SweepRecord, TimingSummary, bench_timing, sweep
 
 __all__ = [
     "__version__",
@@ -41,5 +41,5 @@ __all__ = [
     "Bipartition", "EstimateResult", "PhiParams", "c_phi_estimate", "enumerate_bipartitions", "i_phi",
     "wootters_concurrence", "verify_dicke2_equality",
     "XHeuristicResult", "stationary_check", "x_heuristic",
-    "SweepRecord", "TimingSummary", "bench_timing", "sweep_dicke", "sweep_ds",
+    "SweepRecord", "TimingSummary", "bench_timing", "sweep",
 ]

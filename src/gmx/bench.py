@@ -71,8 +71,7 @@ def make_state(family: str, n: int, parameter: float) -> DensityMatrix:
     raise ValueError(f"unknown family {family!r} (expected 'ds' or 'dicke')")
 
 
-def _sweep_point(family, n, parameter, cfg, include_phi) -> SweepRecord:
-    rho = make_state(family, n, parameter)
+def _sweep_point(family, n, parameter, rho, cfg, include_phi) -> SweepRecord:
     t0 = time.perf_counter()
     xres = x_heuristic(rho, cfg)
     t_x = time.perf_counter() - t0
@@ -85,7 +84,7 @@ def _sweep_point(family, n, parameter, cfg, include_phi) -> SweepRecord:
     return SweepRecord(
         family=family,
         n_qubits=n,
-        parameter=float(parameter),
+        parameter=parameter,
         c_x=xres.estimate,
         f_min=xres.f_min,
         c_phi=c_phi,
@@ -94,29 +93,24 @@ def _sweep_point(family, n, parameter, cfg, include_phi) -> SweepRecord:
     )
 
 
-def sweep_ds(n: int, n_points: int, cfg: OptimConfig, include_phi: bool = False) -> list[SweepRecord]:
-    """Uniform tau grid on [0, 1] over the diagonal symmetric family."""
+def sweep(family: str, n: int, grid, cfg: OptimConfig, include_phi: bool = False) -> list[SweepRecord]:
+    """One record per grid value (tau for 'ds', gamma for 'dicke').
+
+    Point ``i`` runs with seed ``cfg.seed + i``.  Every state is built
+    before the first point runs, so a bad parameter fails up front.
+    """
     if not 2 <= n <= 7:
         raise ValueError("sweeps cover 2 to 7 qubits")
-    records = []
-    for i, tau in enumerate(np.linspace(0.0, 1.0, n_points)):
-        point_cfg = dataclasses.replace(cfg, seed=cfg.seed + i)
-        records.append(_sweep_point("ds", n, float(tau), point_cfg, include_phi))
-    return records
+    grid = [float(v) for v in grid]
+    rhos = [make_state(family, n, v) for v in grid]
+    return [
+        _sweep_point(family, n, v, rho, dataclasses.replace(cfg, seed=cfg.seed + i), include_phi)
+        for i, (v, rho) in enumerate(zip(grid, rhos))
+    ]
 
 
-def sweep_dicke(n: int, gamma_grid, cfg: OptimConfig, include_phi: bool = False) -> list[SweepRecord]:
-    """Sweep over the driven steady-state family at the given gamma values."""
-    if not 2 <= n <= 7:
-        raise ValueError("sweeps cover 2 to 7 qubits")
-    gamma_grid = np.asarray(list(gamma_grid), dtype=float)
-    if np.any(gamma_grid < 0):
-        raise ValueError("gamma values must be >= 0")
-    records = []
-    for i, gamma in enumerate(gamma_grid):
-        point_cfg = dataclasses.replace(cfg, seed=cfg.seed + i)
-        records.append(_sweep_point("dicke", n, float(gamma), point_cfg, include_phi))
-    return records
+def default_tau_grid(n_points: int) -> np.ndarray:
+    return np.linspace(0.0, 1.0, n_points)
 
 
 def default_gamma_grid(lo: float = 0.1, hi: float = 20.0, n_points: int = 60) -> np.ndarray:
@@ -160,6 +154,8 @@ def bench_timing(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if cfg.restarts < 1:
+        raise ValueError("bench_timing needs restarts >= 1: its attempts have no warm starts")
     rho = make_state(family, n, parameter)
     if threshold is None:
         threshold = x_heuristic(rho, cfg).estimate

@@ -14,8 +14,8 @@ from .bench import (
     CSV_HEADER,
     bench_timing,
     default_gamma_grid,
-    sweep_dicke,
-    sweep_ds,
+    default_tau_grid,
+    sweep,
     write_csv,
     write_manifest,
 )
@@ -37,7 +37,11 @@ from .xform import gm_lower_bound_x, phi_mu_bound
 
 
 def _config(args) -> OptimConfig:
-    tol = float(os.environ.get("GMX_TOL", 1e-11))
+    raw = os.environ.get("GMX_TOL", "1e-11")
+    try:
+        tol = float(raw)
+    except ValueError:
+        raise ValueError(f"GMX_TOL must be a positive finite number, got {raw!r}") from None
     return OptimConfig(
         tol_x=tol,
         tol_fun=tol,
@@ -47,7 +51,14 @@ def _config(args) -> OptimConfig:
     ).validate()
 
 
-def _finish_sweep(records, args, cfg, extra):
+def _cmd_sweep(args, cfg) -> int:
+    if args.family == "ds":
+        grid, span = default_tau_grid(args.points), {}
+    else:
+        grid = default_gamma_grid(args.gamma_min, args.gamma_max, args.points)
+        span = {"gamma_min": args.gamma_min, "gamma_max": args.gamma_max}
+    records = sweep(args.family, args.n, grid, cfg, include_phi=args.phi)
+    extra = {"command": args.command, "n_qubits": args.n, **span, "points": args.points}
     if args.out:
         out = Path(args.out)
         write_csv(records, out)
@@ -57,57 +68,33 @@ def _finish_sweep(records, args, cfg, extra):
         print(CSV_HEADER)
         for rec in records:
             print(rec.csv_row())
-
-
-def _cmd_sweep_ds(args) -> int:
-    cfg = _config(args)
-    records = sweep_ds(args.n, args.points, cfg, include_phi=args.phi)
-    _finish_sweep(records, args, cfg, {"command": "sweep-ds", "n_qubits": args.n, "points": args.points})
     return 0
 
 
-def _cmd_sweep_dicke(args) -> int:
-    cfg = _config(args)
-    grid = default_gamma_grid(args.gamma_min, args.gamma_max, args.points)
-    records = sweep_dicke(args.n, grid, cfg, include_phi=args.phi)
-    _finish_sweep(
-        records, args, cfg,
-        {"command": "sweep-dicke", "n_qubits": args.n,
-         "gamma_min": args.gamma_min, "gamma_max": args.gamma_max, "points": args.points},
-    )
-    return 0
+def _optim_fields(optim) -> dict:
+    return {
+        "iterations": optim.iterations,
+        "converged": optim.converged,
+        "restarts_used": optim.restarts_used,
+        "wall_time_s": optim.wall_time,
+    }
 
 
-def _cmd_estimate(args) -> int:
-    cfg = _config(args)
+def _cmd_estimate(args, cfg) -> int:
     rho = load_json(args.state)
     out = {"n_qubits": rho.n_qubits, "gm_lower_bound_x": gm_lower_bound_x(rho)}
     if args.method in ("x", "both"):
         res = x_heuristic(rho, cfg)
-        out["x_heuristic"] = {
-            "estimate": res.estimate,
-            "f_min": res.f_min,
-            "iterations": res.optim.iterations,
-            "converged": res.optim.converged,
-            "restarts_used": res.optim.restarts_used,
-            "wall_time_s": res.optim.wall_time,
-        }
+        out["x_heuristic"] = {"estimate": res.estimate, "f_min": res.f_min, **_optim_fields(res.optim)}
     if args.method in ("phi", "both"):
         res = c_phi_estimate(rho, cfg)
-        out["phi_scheme"] = {
-            "estimate": res.estimate,
-            "iterations": res.optim.iterations,
-            "converged": res.optim.converged,
-            "restarts_used": res.optim.restarts_used,
-            "wall_time_s": res.optim.wall_time,
-        }
+        out["phi_scheme"] = {"estimate": res.estimate, **_optim_fields(res.optim)}
     json.dump(out, sys.stdout, indent=2)
     print()
     return 0
 
 
-def _cmd_bench(args) -> int:
-    cfg = _config(args)
+def _cmd_bench(args, cfg) -> int:
     summary = bench_timing(
         args.family, args.n, args.param, args.method, args.reps, cfg,
         threshold=args.threshold, budget=args.budget,
@@ -136,7 +123,7 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, cfg) -> int:
     ok = True
 
     # Anti-diagonal product-state identity on random mixed states.
@@ -195,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", action="store_true", help="also run the product-state scheme")
     p.add_argument("--out", type=str, default=None)
     common(p, restarts_default=8)
-    p.set_defaults(func=_cmd_sweep_ds)
+    p.set_defaults(func=_cmd_sweep, family="ds")
 
     p = sub.add_parser("sweep-dicke", help="gamma sweep over the driven steady states")
     p.add_argument("--n", type=int, required=True)
@@ -205,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", action="store_true")
     p.add_argument("--out", type=str, default=None)
     common(p, restarts_default=8)
-    p.set_defaults(func=_cmd_sweep_dicke)
+    p.set_defaults(func=_cmd_sweep, family="dicke")
 
     p = sub.add_parser("estimate", help="estimate a single density matrix from JSON")
     p.add_argument("--state", type=str, required=True)
@@ -234,8 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = _config(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return args.func(args, cfg)
 
 
 if __name__ == "__main__":

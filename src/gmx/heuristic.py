@@ -16,17 +16,17 @@ import numpy as np
 
 from .lugroup import (
     LUParams,
-    _factors,
-    _kron_chain,
+    angle_sampler,
     canonicalize,
+    conjugate,
     grad_penalty_fd,
     make_penalty_problem,
     params_to_vector,
     vector_to_params,
 )
 from .optim import OptimConfig, OptimResult, multi_start
-from .states import DensityMatrix, _wrap
-from .xform import x_concurrence, x_projection
+from .states import DensityMatrix
+from .xform import gm_lower_bound_x
 
 HESSIAN_STEP = 1e-4
 
@@ -41,18 +41,6 @@ class XHeuristicResult:
     # two-stage prescription reports the best-penalty frame; every frame is
     # nonetheless a valid lower bound, so the maximum is kept as a diagnostic.
     best_cx_seen: float
-
-
-def lu_sampler(n_qubits: int):
-    """Uniform start sampler: thetas on [0, pi), phis on [0, 2*pi)."""
-
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        return np.concatenate([
-            rng.uniform(0.0, np.pi, n_qubits),
-            rng.uniform(0.0, 2 * np.pi, n_qubits),
-        ])
-
-    return sample
 
 
 def warm_starts(n_qubits: int) -> list[np.ndarray]:
@@ -76,13 +64,12 @@ def x_heuristic(
     include_warm_starts: bool = True,
 ) -> XHeuristicResult:
     """Minimize the off-X penalty over local unitaries and evaluate the X formula."""
+    rho.check_structure()
     n = rho.n_qubits
     fun, grad = make_penalty_problem(rho.mat, n)
 
     def cx_at(x: np.ndarray) -> float:
-        u = _kron_chain(_factors(x, n))
-        transformed = _wrap(n, u @ rho.mat @ u.conj().T)
-        return x_concurrence(x_projection(transformed))
+        return gm_lower_bound_x(conjugate(rho, vector_to_params(n, x)))
 
     best_cx = -np.inf
 
@@ -91,10 +78,10 @@ def x_heuristic(
         best_cx = max(best_cx, cx_at(run.best_point))
 
     starts = warm_starts(n) if include_warm_starts else []
-    best = multi_start(fun, grad, lu_sampler(n), cfg, starts=starts, callback=track)
+    best = multi_start(fun, grad, angle_sampler(n), cfg, starts=starts, callback=track)
     # The best-penalty frame can carry a smaller X value than the untouched
     # input frame; both are certified bounds, so report at least the latter.
-    floor = x_concurrence(x_projection(rho)) if include_warm_starts else 0.0
+    floor = gm_lower_bound_x(rho) if include_warm_starts else 0.0
     return XHeuristicResult(
         estimate=max(cx_at(best.best_point), floor),
         f_min=best.best_value,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matcore import kron_all
 from .states import DensityMatrix, _wrap
 from .xform import off_x_mask, penalty_from_matrix
 
@@ -38,6 +39,22 @@ def params_to_vector(p: LUParams) -> np.ndarray:
 def vector_to_params(n_qubits: int, x: np.ndarray) -> LUParams:
     x = np.asarray(x, dtype=float)
     return LUParams(n_qubits=n_qubits, thetas=x[:n_qubits].copy(), phis=x[n_qubits:].copy())
+
+
+def angle_sampler(n_qubits: int, n_products: int = 1):
+    """Uniform start sampler over ``n_products`` blocks of packed angles.
+
+    Each block draws its thetas on [0, pi), then its phis on [0, 2*pi).
+    """
+
+    def sample(rng: np.random.Generator) -> np.ndarray:
+        return np.concatenate([
+            rng.uniform(0.0, period, n_qubits)
+            for _ in range(n_products)
+            for period in (np.pi, 2 * np.pi)
+        ])
+
+    return sample
 
 
 def canonicalize(p: LUParams) -> LUParams:
@@ -74,16 +91,9 @@ def _factors(x: np.ndarray, n: int) -> list[np.ndarray]:
     return [su2(x[j], x[n + j]) for j in range(n)]
 
 
-def _kron_chain(factors: list[np.ndarray]) -> np.ndarray:
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
-
-
 def assemble(p: LUParams) -> np.ndarray:
     """Kronecker product of the per-qubit unitaries, qubit 1 leftmost."""
-    return _kron_chain(_factors(params_to_vector(p), p.n_qubits))
+    return kron_all(_factors(params_to_vector(p), p.n_qubits))
 
 
 def conjugate(rho: DensityMatrix, p: LUParams) -> DensityMatrix:
@@ -105,12 +115,12 @@ def make_penalty_problem(mat: np.ndarray, n_qubits: int):
     mask = off_x_mask(dim)
 
     def fun(x: np.ndarray) -> float:
-        u = _kron_chain(_factors(x, n_qubits))
+        u = kron_all(_factors(x, n_qubits))
         return penalty_from_matrix(u @ mat @ u.conj().T)
 
     def grad(x: np.ndarray) -> np.ndarray:
         factors = _factors(x, n_qubits)
-        u = _kron_chain(factors)
+        u = kron_all(factors)
         rho_t = u @ mat @ u.conj().T
         # d f = 2 Re tr(K dU) with K = mat U^dag (mask o rho_t); the mask
         # selects the off-X entries whose squared moduli make up f.
@@ -136,12 +146,6 @@ def make_penalty_problem(mat: np.ndarray, n_qubits: int):
         return out
 
     return fun, grad
-
-
-def penalty_at(rho: DensityMatrix, p: LUParams) -> float:
-    """Penalty of the conjugated state, f(U rho U^dag)."""
-    fun, _ = make_penalty_problem(rho.mat, rho.n_qubits)
-    return fun(params_to_vector(p))
 
 
 def grad_penalty(rho: DensityMatrix, p: LUParams) -> np.ndarray:

@@ -8,6 +8,7 @@ are cheap; nothing in this module tries to exploit sparsity.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -30,13 +31,8 @@ class HermEig(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
-
-
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (a + a^dagger)/2."""
+    """Return the Hermitian part (a + a^dag)/2."""
     return 0.5 * (a + a.conj().T)
 
 
@@ -51,11 +47,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def kron_all(factors) -> np.ndarray:
-    """Left-to-right Kronecker product of a sequence of matrices."""
-    out = np.array([[1.0 + 0.0j]])
-    for f in factors:
-        out = np.kron(out, f)
-    return out
+    """Left-to-right Kronecker product of a non-empty sequence of matrices."""
+    return reduce(np.kron, factors)
 
 
 def herm_eig(a: np.ndarray, tol: float = HERM_TOL) -> HermEig:

@@ -12,6 +12,7 @@ results do not depend on scheduling order.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -33,8 +34,10 @@ class OptimConfig:
     seed: int = 0
 
     def validate(self) -> "OptimConfig":
-        if self.tol_x <= 0 or self.tol_fun <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in (self.tol_x, self.tol_fun)):
+            raise ValueError(f"tolerances must be finite and positive, got {self.tol_x!r}, {self.tol_fun!r}")
+        if self.restarts < 0:
+            raise ValueError("restarts must be >= 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.seed < 0:

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .heuristic import x_heuristic
-from .lugroup import _factors, fd_gradient
+from .lugroup import _factors, angle_sampler, fd_gradient
 from .optim import OptimConfig, OptimResult, multi_start
 from .states import DensityMatrix
 
@@ -178,20 +178,6 @@ class EstimateResult:
     estimate: float
     params: PhiParams
     optim: OptimResult
-    residual: float | None = None
-
-
-def phi_sampler(n_qubits: int):
-    """Uniform start sampler: thetas on [0, pi), phis on [0, 2*pi)."""
-
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        vt = rng.uniform(0.0, np.pi, n_qubits)
-        vp = rng.uniform(0.0, 2 * np.pi, n_qubits)
-        wt = rng.uniform(0.0, np.pi, n_qubits)
-        wp = rng.uniform(0.0, 2 * np.pi, n_qubits)
-        return np.concatenate([vt, vp, wt, wp])
-
-    return sample
 
 
 def c_phi_estimate(
@@ -210,6 +196,7 @@ def c_phi_estimate(
     so gradients are central finite differences and a failed line search
     simply ends that restart.
     """
+    rho.check_structure()
     n = rho.n_qubits
     mat = rho.mat
 
@@ -224,7 +211,7 @@ def c_phi_estimate(
         starts += [params_to_vector(phi_mu_params(n, mu)) for mu in range(2 ** (n - 1))]
         frame = _factors(x_heuristic(rho, cfg).optim.best_point, n)
         starts += [params_to_vector(frame_phi_params(n, frame, mu)) for mu in range(2 ** (n - 1))]
-    best = multi_start(neg, grad, phi_sampler(n), cfg, starts=starts)
+    best = multi_start(neg, grad, angle_sampler(n, 2), cfg, starts=starts)
     return EstimateResult(
         estimate=max(0.0, -2.0 * best.best_value),
         params=vector_to_params(n, best.best_point),

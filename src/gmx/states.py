@@ -20,9 +20,7 @@ from .matcore import HERM_TOL, hermitize, herm_deviation, kron
 PRNG_NAME = "numpy PCG64 (numpy.random.default_rng)"
 
 SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)
-SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -35,6 +33,20 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return 2 ** self.n_qubits
+
+    def check_structure(self) -> "DensityMatrix":
+        """Cheap scheme-input check: N >= 2, a 2**N x 2**N shape, finite entries.
+
+        Unlike :meth:`validate` it does not test Hermiticity, trace or
+        positivity, so slightly unnormalized inputs still estimate.
+        """
+        if self.n_qubits < 2:
+            raise ValueError(f"GM-concurrence needs at least two qubits, got n_qubits={self.n_qubits}")
+        if self.mat.shape != (self.dim, self.dim):
+            raise ValueError(f"matrix shape {self.mat.shape} does not match n_qubits={self.n_qubits}")
+        if not np.isfinite(self.mat).all():
+            raise ValueError("density matrix has non-finite entries")
+        return self
 
     def validate(self, eig_tol: float = 1e-10) -> "DensityMatrix":
         """Raise ValueError unless Hermitian/trace-one/PSD within tolerance."""
@@ -139,7 +151,7 @@ def tau_populations(n: int, tau: float) -> DiagSymParams:
 
 
 def collective_ops(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Collective raising/lowering operators J_+ and J_- = J_+^dagger."""
+    """Collective raising/lowering operators J_+ and J_- = J_+^dag."""
     if n < 1:
         raise ValueError("need at least one qubit")
     jp = np.zeros((2 ** n, 2 ** n), dtype=complex)

@@ -101,8 +101,8 @@ def _upper_off_x_mask(dim: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def off_x_mask(dim: int) -> np.ndarray:
     """Symmetric 0/1 mask selecting every off-X entry (both triangles)."""
-    i, j = np.indices((dim, dim))
-    mask = ((j != i) & (i + j != dim - 1)).astype(float)
+    upper = _upper_off_x_mask(dim)
+    mask = (upper | upper.T).astype(float)
     mask.flags.writeable = False
     return mask
 

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from gmx.bench import bench_timing, default_gamma_grid, sweep_dicke, sweep_ds, write_manifest
+from gmx.bench import bench_timing, default_gamma_grid, default_tau_grid, sweep, write_manifest
 from gmx.golden import dicke_norm_closed, dicke_reference, ds_reference
 from gmx.heuristic import stationary_check, x_heuristic
 from gmx.lugroup import LUParams, grad_penalty, grad_penalty_fd
@@ -151,9 +151,9 @@ def test_criterion_06_scheme_ordering():
 
 def test_criterion_07_tau_sweep_agreement():
     cfg = OptimConfig(restarts=4, seed=707)
-    rec2 = sweep_ds(2, 100, cfg, include_phi=True)
+    rec2 = sweep("ds", 2, default_tau_grid(100), cfg, include_phi=True)
     worst2 = max(abs(r.c_phi - r.c_x) for r in rec2)
-    rec4 = sweep_ds(4, 100, cfg, include_phi=True)
+    rec4 = sweep("ds", 4, default_tau_grid(100), cfg, include_phi=True)
     worst4 = max((abs(r.c_phi - r.c_x) for r in rec4 if r.parameter > 0.212), default=0.0)
     worst_order = max(r.c_x - r.c_phi for r in rec4)
     report(7, "tau-sweep agreement between the two schemes",
@@ -166,14 +166,14 @@ def test_criterion_08_dicke_sweep():
     grid = default_gamma_grid()
 
     t0 = time.perf_counter()
-    x_records = {n: sweep_dicke(n, grid, cfg) for n in range(2, 8)}
+    x_records = {n: sweep("dicke", n, grid, cfg) for n in range(2, 8)}
     x_elapsed = time.perf_counter() - t0
 
     plateau_ok = all(r.c_x == 0.0 for r in x_records[2] if r.parameter <= 1.0)
 
     gaps = {}
     for n, g_min in ((3, 7.0), (4, 2.2)):
-        recs = sweep_dicke(n, [g for g in grid if g >= g_min], cfg, include_phi=True)
+        recs = sweep("dicke", n, [g for g in grid if g >= g_min], cfg, include_phi=True)
         gaps[n] = max((r.c_phi - r.c_x) / r.c_phi for r in recs)
     report(8, "driven-family sweep: plateau, scheme gaps, X-only runtime",
            plateau_ok and gaps[3] < 0.032 and gaps[4] < 0.032 and x_elapsed < 600.0,

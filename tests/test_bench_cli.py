@@ -8,10 +8,10 @@ import pytest
 from gmx.bench import (
     CSV_HEADER,
     bench_timing,
+    default_tau_grid,
     make_state,
     run_manifest,
-    sweep_dicke,
-    sweep_ds,
+    sweep,
     write_csv,
 )
 from gmx.optim import OptimConfig
@@ -30,7 +30,7 @@ def run_cli(*args):
 
 
 def test_sweep_ds_row_shape_and_determinism(tmp_path):
-    records = sweep_ds(3, 10, CFG)
+    records = sweep("ds", 3, default_tau_grid(10), CFG)
     assert len(records) == 10
     for rec in records:
         assert rec.family == "ds"
@@ -38,7 +38,7 @@ def test_sweep_ds_row_shape_and_determinism(tmp_path):
         assert np.isfinite(rec.c_x) and np.isfinite(rec.f_min)
         assert rec.c_x >= 0.0
         assert rec.c_phi is None and rec.time_phi_s is None
-    again = sweep_ds(3, 10, CFG)
+    again = sweep("ds", 3, default_tau_grid(10), CFG)
     assert [r.c_x for r in records] == [r.c_x for r in again]
     assert [r.f_min for r in records] == [r.f_min for r in again]
 
@@ -52,18 +52,22 @@ def test_sweep_ds_row_shape_and_determinism(tmp_path):
 
 
 def test_sweep_dicke_with_phi_columns():
-    records = sweep_dicke(2, [0.5, 1.65], CFG, include_phi=True)
+    records = sweep("dicke", 2, [0.5, 1.65], CFG, include_phi=True)
     for rec in records:
         assert rec.c_phi is not None and rec.time_phi_s is not None
         assert abs(rec.c_phi - rec.c_x) < 1e-9  # two-qubit saturation
     assert records[0].c_x == 0.0  # below the entanglement threshold
 
 
-def test_sweep_rejects_out_of_range():
+def test_sweep_rejects_out_of_range(monkeypatch):
     with pytest.raises(ValueError):
-        sweep_ds(8, 5, CFG)
+        sweep("ds", 8, default_tau_grid(5), CFG)
+    # A bad parameter anywhere in the grid fails before the first point runs.
+    monkeypatch.setattr("gmx.bench.x_heuristic", lambda *a, **k: pytest.fail("a point ran"))
     with pytest.raises(ValueError):
-        sweep_dicke(3, [-1.0], CFG)
+        sweep("dicke", 3, [1.0, -1.0], CFG)
+    with pytest.raises(ValueError):
+        sweep("ds", 3, [0.5, 1.5], CFG)
 
 
 def test_make_state_families():
@@ -84,6 +88,13 @@ def test_bench_timing_two_qubit_mixture():
     assert mn <= q1 <= med <= q3 <= mx
     assert mx < 1.0  # sub-second on any machine for two qubits
     assert len(summary.times) == 3
+
+
+def test_bench_timing_rejects_zero_restarts(monkeypatch):
+    # Attempts carry no warm starts, so zero restarts must fail before the threshold run.
+    monkeypatch.setattr("gmx.bench.x_heuristic", lambda *a, **k: pytest.fail("threshold computed"))
+    with pytest.raises(ValueError, match="restarts"):
+        bench_timing("ds", 2, 0.3, "x", reps=1, cfg=OptimConfig(restarts=0, seed=1))
 
 
 def test_bench_timing_budget_marks_incomplete():
@@ -157,3 +168,16 @@ def test_cli_gmx_tol_env(tmp_path):
     manifest = json.loads((tmp_path / "s.manifest.json").read_text())
     assert manifest["tol_x"] == 1e-9
     assert manifest["tol_fun"] == 1e-9
+
+    # Config errors end like argparse errors: one "gmx: error:" line, status 2.
+    for tol, extra in (("abc", []), ("-1", []), ("1e-9", ["--restarts", "-1"])):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmx.cli", "sweep-ds", "--n", "2", "--points", "3",
+             "--restarts", "1", *extra],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "GMX_TOL": tol},
+        )
+        assert proc.returncode == 2, (tol, extra, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("gmx: error: ")
+        assert proc.stdout == ""

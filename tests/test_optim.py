@@ -159,3 +159,8 @@ def test_config_validation():
         OptimConfig(max_iters=0).validate()
     with pytest.raises(ValueError):
         OptimConfig(seed=-1).validate()
+    # A NaN tolerance would switch off both stopping tests.
+    for bad in ({"restarts": -5}, {"tol_x": float("nan")}, {"tol_x": float("inf")},
+                {"tol_fun": float("nan")}):
+        with pytest.raises(ValueError):
+            OptimConfig(**bad).validate()

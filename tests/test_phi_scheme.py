@@ -11,7 +11,8 @@ from gmx.phi_scheme import (
     i_phi,
     phi_mu_params,
 )
-from gmx.states import DickeParams, dicke_steady_state, diagonal_symmetric, random_density_matrix, tau_populations
+from gmx.heuristic import x_heuristic
+from gmx.states import DensityMatrix, DickeParams, dicke_steady_state, diagonal_symmetric, random_density_matrix, tau_populations
 from gmx.xform import gm_lower_bound_x, phi_mu_bound, x_concurrence, x_projection
 from helpers import ghz
 
@@ -158,5 +159,23 @@ def test_estimate_result_fields():
     # two pair seeds, two frame seeds, one random restart
     assert res.optim.restarts_used == 5
     assert res.params.n_qubits == 2
-    assert res.residual is None
     assert res.optim.wall_time >= 0.0
+
+
+def _nan_state():
+    mat = np.eye(8, dtype=complex) / 8
+    mat[0, 7] = np.nan
+    return DensityMatrix(3, mat)
+
+
+@pytest.mark.parametrize("scheme", [x_heuristic, c_phi_estimate], ids=["x", "phi"])
+@pytest.mark.parametrize("make_rho, message", [
+    pytest.param(lambda: DensityMatrix(1, np.eye(2, dtype=complex) / 2), "two qubits", id="one-qubit"),
+    pytest.param(lambda: DensityMatrix(3, np.eye(4, dtype=complex) / 4), "shape", id="wrong-shape"),
+    pytest.param(_nan_state, "non-finite", id="nan-entry"),
+])
+def test_schemes_reject_malformed_input(monkeypatch, scheme, make_rho, message):
+    for module in ("gmx.heuristic", "gmx.phi_scheme"):
+        monkeypatch.setattr(f"{module}.multi_start", lambda *a, **k: pytest.fail("optimizer ran"))
+    with pytest.raises(ValueError, match=message):
+        scheme(make_rho(), CFG)
