@@ -16,6 +16,7 @@ import json
 import subprocess
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -72,15 +73,16 @@ def make_state(family: str, n: int, parameter: float) -> DensityMatrix:
 
 
 def _sweep_point(family, n, parameter, rho, cfg, include_phi) -> SweepRecord:
-    t0 = time.perf_counter()
-    xres = x_heuristic(rho, cfg)
-    t_x = time.perf_counter() - t0
+    """One row; a phi row reads its X columns from the run that seeded phi."""
     c_phi = None
     t_phi = None
     if include_phi:
         t0 = time.perf_counter()
-        c_phi = c_phi_estimate(rho, cfg).estimate
+        res = c_phi_estimate(rho, cfg)
         t_phi = time.perf_counter() - t0
+        c_phi, xres = res.estimate, res.x
+    else:
+        xres = x_heuristic(rho, cfg)
     return SweepRecord(
         family=family,
         n_qubits=n,
@@ -88,7 +90,7 @@ def _sweep_point(family, n, parameter, rho, cfg, include_phi) -> SweepRecord:
         c_x=xres.estimate,
         f_min=xres.f_min,
         c_phi=c_phi,
-        time_x_s=t_x,
+        time_x_s=xres.optim.wall_time,
         time_phi_s=t_phi,
     )
 
@@ -156,11 +158,14 @@ def bench_timing(
         raise ValueError("reps must be >= 1")
     if cfg.restarts < 1:
         raise ValueError("bench_timing needs restarts >= 1: its attempts have no warm starts")
+    if budget is not None and not 0.0 < budget < np.inf:
+        raise ValueError(f"budget must be a positive finite number of seconds, got {budget!r}")
     rho = make_state(family, n, parameter)
     if threshold is None:
         threshold = x_heuristic(rho, cfg).estimate
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    # No estimate exceeds 1, so a larger (or NaN) threshold would never be met.
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold!r}")
 
     times = []
     total_attempts = 0
@@ -198,7 +203,7 @@ def _git_describe() -> str:
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5,
+            capture_output=True, text=True, timeout=5, cwd=Path(__file__).resolve().parent,
         )
         if out.returncode == 0:
             return out.stdout.strip()

@@ -83,12 +83,13 @@ def _optim_fields(optim) -> dict:
 def _cmd_estimate(args, cfg) -> int:
     rho = load_json(args.state)
     out = {"n_qubits": rho.n_qubits, "gm_lower_bound_x": gm_lower_bound_x(rho)}
-    if args.method in ("x", "both"):
-        res = x_heuristic(rho, cfg)
+    # The phi scheme seeds from an X-heuristic run and returns it as ``.x``.
+    phi = None if args.method == "x" else c_phi_estimate(rho, cfg)
+    if args.method != "phi":
+        res = x_heuristic(rho, cfg) if phi is None else phi.x
         out["x_heuristic"] = {"estimate": res.estimate, "f_min": res.f_min, **_optim_fields(res.optim)}
-    if args.method in ("phi", "both"):
-        res = c_phi_estimate(rho, cfg)
-        out["phi_scheme"] = {"estimate": res.estimate, **_optim_fields(res.optim)}
+    if phi is not None:
+        out["phi_scheme"] = {"estimate": phi.estimate, **_optim_fields(phi.optim)}
     json.dump(out, sys.stdout, indent=2)
     print()
     return 0
@@ -123,7 +124,7 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def _cmd_verify(args, cfg) -> int:
+def _cmd_verify() -> int:
     ok = True
 
     # Anti-diagonal product-state identity on random mixed states.
@@ -213,9 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, restarts_default=1)
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("verify", help="run the built-in identity and golden-matrix checks")
-    common(p, restarts_default=8)
-    p.set_defaults(func=_cmd_verify)
+    sub.add_parser("verify", help="run the built-in identity and golden-matrix checks")
 
     return parser
 
@@ -223,11 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify":
+        return _cmd_verify()
+    # Bad input the library rejects ends like an argparse error, not a traceback.
     try:
-        cfg = _config(args)
-    except ValueError as exc:
+        return args.func(args, _config(args))
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
-    return args.func(args, cfg)
 
 
 if __name__ == "__main__":

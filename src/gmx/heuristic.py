@@ -37,10 +37,6 @@ class XHeuristicResult:
     f_min: float
     params: LUParams
     optim: OptimResult
-    # Largest X-formula value seen across all restart minimizers.  The
-    # two-stage prescription reports the best-penalty frame; every frame is
-    # nonetheless a valid lower bound, so the maximum is kept as a diagnostic.
-    best_cx_seen: float
 
 
 def warm_starts(n_qubits: int) -> list[np.ndarray]:
@@ -67,27 +63,17 @@ def x_heuristic(
     rho.check_structure()
     n = rho.n_qubits
     fun, grad = make_penalty_problem(rho.mat, n)
-
-    def cx_at(x: np.ndarray) -> float:
-        return gm_lower_bound_x(conjugate(rho, vector_to_params(n, x)))
-
-    best_cx = -np.inf
-
-    def track(run: OptimResult) -> None:
-        nonlocal best_cx
-        best_cx = max(best_cx, cx_at(run.best_point))
-
     starts = warm_starts(n) if include_warm_starts else []
-    best = multi_start(fun, grad, angle_sampler(n), cfg, starts=starts, callback=track)
+    best = multi_start(fun, grad, angle_sampler(n), cfg, starts=starts)
     # The best-penalty frame can carry a smaller X value than the untouched
     # input frame; both are certified bounds, so report at least the latter.
     floor = gm_lower_bound_x(rho) if include_warm_starts else 0.0
+    params = vector_to_params(n, best.best_point)
     return XHeuristicResult(
-        estimate=max(cx_at(best.best_point), floor),
+        estimate=max(gm_lower_bound_x(conjugate(rho, params)), floor),
         f_min=best.best_value,
-        params=canonicalize(vector_to_params(n, best.best_point)),
+        params=canonicalize(params),
         optim=best,
-        best_cx_seen=max(best_cx, floor),
     )
 
 

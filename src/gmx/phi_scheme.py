@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .heuristic import x_heuristic
+from .heuristic import XHeuristicResult, x_heuristic
 from .lugroup import _factors, angle_sampler, fd_gradient
 from .optim import OptimConfig, OptimResult, multi_start
 from .states import DensityMatrix
@@ -178,6 +178,7 @@ class EstimateResult:
     estimate: float
     params: PhiParams
     optim: OptimResult
+    x: XHeuristicResult | None  # the X run that seeded the frame; None without warm starts
 
 
 def c_phi_estimate(
@@ -191,10 +192,10 @@ def c_phi_estimate(
     anti-diagonal pair, which pins the estimate at or above the plain
     X-projection bound, plus the same pairs expressed in the frame found
     by a penalty minimization with the identical configuration, which pins
-    it at or above the X-heuristic estimate; ``cfg.restarts`` random
-    starts come on top.  The objective is not everywhere differentiable,
-    so gradients are central finite differences and a failed line search
-    simply ends that restart.
+    it at or above the X-heuristic estimate (that run is returned as
+    ``x``); ``cfg.restarts`` random starts come on top.  The objective is
+    not everywhere differentiable, so gradients are central finite
+    differences and a failed line search simply ends that restart.
     """
     rho.check_structure()
     n = rho.n_qubits
@@ -207,13 +208,16 @@ def c_phi_estimate(
         return fd_gradient(neg, x)
 
     starts = []
+    xres = None
     if include_warm_starts:
         starts += [params_to_vector(phi_mu_params(n, mu)) for mu in range(2 ** (n - 1))]
-        frame = _factors(x_heuristic(rho, cfg).optim.best_point, n)
+        xres = x_heuristic(rho, cfg)
+        frame = _factors(xres.optim.best_point, n)
         starts += [params_to_vector(frame_phi_params(n, frame, mu)) for mu in range(2 ** (n - 1))]
     best = multi_start(neg, grad, angle_sampler(n, 2), cfg, starts=starts)
     return EstimateResult(
         estimate=max(0.0, -2.0 * best.best_value),
         params=vector_to_params(n, best.best_point),
         optim=best,
+        x=xres,
     )

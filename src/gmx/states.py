@@ -216,6 +216,9 @@ def to_json_dict(rho: DensityMatrix) -> dict:
 
 
 def from_json_dict(doc: dict) -> DensityMatrix:
+    missing = [key for key in ("n_qubits", "re", "im") if key not in doc]
+    if missing:
+        raise ValueError(f"state JSON lacks the key(s) {', '.join(missing)}")
     n = int(doc["n_qubits"])
     mat = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
     if mat.shape != (2 ** n, 2 ** n):

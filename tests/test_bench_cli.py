@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gmx import cli
 from gmx.bench import (
     CSV_HEADER,
     bench_timing,
@@ -14,8 +16,9 @@ from gmx.bench import (
     sweep,
     write_csv,
 )
+from gmx.heuristic import x_heuristic
 from gmx.optim import OptimConfig
-from gmx.states import save_json
+from gmx.states import save_json, to_json_dict
 from gmx.xform import gm_lower_bound_x
 from helpers import ghz
 
@@ -97,6 +100,18 @@ def test_bench_timing_rejects_zero_restarts(monkeypatch):
         bench_timing("ds", 2, 0.3, "x", reps=1, cfg=OptimConfig(restarts=0, seed=1))
 
 
+@pytest.mark.parametrize("threshold,budget", [
+    (float("nan"), None), (2.0, None), (-0.1, None),
+    (0.5, 0.0), (0.5, -1.0), (0.5, float("nan")), (0.5, float("inf")),
+])
+def test_bench_timing_rejects_unreachable_targets(monkeypatch, threshold, budget):
+    # A threshold no estimate can meet, or a budget that never cuts off, would loop forever.
+    monkeypatch.setattr("gmx.bench._run_attempt", lambda *a, **k: pytest.fail("an attempt ran"))
+    with pytest.raises(ValueError, match="threshold" if budget is None else "budget"):
+        bench_timing("ds", 2, 0.3, "x", reps=1, cfg=OptimConfig(restarts=1, seed=1),
+                     threshold=threshold, budget=budget)
+
+
 def test_bench_timing_budget_marks_incomplete():
     # impossible threshold forces the budget path
     summary = bench_timing("ds", 2, 0.5, "x", reps=1, cfg=OptimConfig(restarts=1, seed=2),
@@ -108,6 +123,47 @@ def test_run_manifest_keys():
     doc = run_manifest(CFG, extra={"command": "test"})
     for key in ("seed", "tol_x", "tol_fun", "restarts", "prng", "line_search", "build", "command"):
         assert key in doc
+
+
+def test_run_manifest_build_ignores_working_directory(monkeypatch, tmp_path):
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    expected = run_manifest(CFG)["build"]
+    monkeypatch.chdir(tmp_path)
+    assert run_manifest(CFG)["build"] == expected
+
+
+@pytest.fixture
+def x_calls(monkeypatch):
+    """Count X-heuristic runs made through every module that calls it."""
+    calls = []
+
+    def counted(*a, **k):
+        calls.append(a)
+        return x_heuristic(*a, **k)
+
+    for target in ("gmx.phi_scheme.x_heuristic", "gmx.bench.x_heuristic", "gmx.cli.x_heuristic"):
+        monkeypatch.setattr(target, counted)
+    return calls
+
+
+def test_phi_sweep_point_runs_x_once(x_calls):
+    (rec,) = sweep("dicke", 3, [1.3], CFG, include_phi=True)
+    assert len(x_calls) == 1
+    alone = x_heuristic(make_state("dicke", 3, 1.3), CFG)
+    assert (rec.c_x, rec.f_min) == (alone.estimate, alone.f_min)
+    assert 0.0 < rec.time_x_s < rec.time_phi_s
+
+
+@pytest.mark.parametrize("method", ["x", "phi", "both"])
+def test_cli_estimate_runs_x_once(x_calls, tmp_path, capsys, method):
+    state_file = tmp_path / "rho.json"
+    save_json(make_state("dicke", 2, 1.0), state_file)
+    assert cli.main(["estimate", "--state", str(state_file), "--method", method,
+                     "--restarts", "1", "--seed", "4"]) == 0
+    assert len(x_calls) == 1
+    keys = list(json.loads(capsys.readouterr().out))
+    expected = {"x": ["x_heuristic"], "phi": ["phi_scheme"], "both": ["x_heuristic", "phi_scheme"]}
+    assert keys == ["n_qubits", "gm_lower_bound_x", *expected[method]]
 
 
 def test_cli_estimate_ghz(tmp_path):
@@ -152,6 +208,32 @@ def test_cli_verify_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "[PASS]" in proc.stdout
     assert "[FAIL]" not in proc.stdout
+
+
+def test_cli_verify_takes_no_optimizer_flags():
+    proc = run_cli("verify", "--seed", "3")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --seed 3" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["bench", "--family", "ds", "--n", "2", "--param", "0.3", "--method", "x", "--restarts", "0"],
+    ["bench", "--family", "ds", "--n", "2", "--param", "0.3", "--method", "x", "--reps", "0"],
+    ["sweep-ds", "--n", "8"],
+    ["sweep-dicke", "--n", "3", "--gamma-min", "0"],
+    ["estimate", "--state", "{missing}"],
+    ["estimate", "--state", "{no_re}"],
+])
+def test_cli_input_errors_end_like_argparse_errors(tmp_path, args):
+    no_re = tmp_path / "no_re.json"
+    doc = to_json_dict(make_state("ds", 2, 0.3))
+    del doc["re"]
+    no_re.write_text(json.dumps(doc))
+    paths = {"missing": tmp_path / "missing.json", "no_re": no_re}
+    proc = run_cli(*(a.format(**paths) for a in args))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("gmx: error: ")
 
 
 def test_cli_gmx_tol_env(tmp_path):

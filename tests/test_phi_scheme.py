@@ -162,6 +162,19 @@ def test_estimate_result_fields():
     assert res.optim.wall_time >= 0.0
 
 
+def test_estimate_returns_the_x_run_it_seeds_from():
+    cfg = OptimConfig(restarts=1, seed=3)
+    for rho in (dicke_steady_state(DickeParams(3, 1.3)), random_density_matrix(2, 2, seed=8)):
+        res = c_phi_estimate(rho, cfg)
+        alone = x_heuristic(rho, cfg)
+        assert res.x.estimate == alone.estimate
+        assert res.x.f_min == alone.f_min
+        assert np.array_equal(res.x.optim.best_point, alone.optim.best_point)
+        assert res.estimate >= res.x.estimate - 1e-9
+    cold = c_phi_estimate(random_density_matrix(2, 2, seed=8), cfg, include_warm_starts=False)
+    assert cold.x is None
+
+
 def _nan_state():
     mat = np.eye(8, dtype=complex) / 8
     mat[0, 7] = np.nan

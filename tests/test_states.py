@@ -214,6 +214,14 @@ def test_json_rejects_bad_shape_and_non_hermitian():
         from_json_dict(bad)
 
 
+def test_json_rejects_missing_keys():
+    doc = to_json_dict(dicke_steady_state(DickeParams(2, 1.4)))
+    for key in ("n_qubits", "re", "im"):
+        partial = {k: v for k, v in doc.items() if k != key}
+        with pytest.raises(ValueError, match=key):
+            from_json_dict(partial)
+
+
 def test_dicke_state_normalization_constant():
     for n, k in [(5, 2), (6, 3)]:
         v = dicke_state(n, k)
