@@ -139,8 +139,10 @@ def test_criterion_06_scheme_ordering():
     worst_order = -np.inf
     worst_floor = -np.inf
     for rho in states:
-        xe = x_heuristic(rho, cfg).estimate
-        pe = c_phi_estimate(rho, cfg).estimate
+        # .x is the X-heuristic run with this cfg (test_phi_scheme pins it
+        # equal to a separate x_heuristic call), so X runs once per state.
+        phi = c_phi_estimate(rho, cfg)
+        xe, pe = phi.x.estimate, phi.estimate
         floor = gm_lower_bound_x(rho)
         worst_order = max(worst_order, xe - pe)
         worst_floor = max(worst_floor, floor - min(xe, pe))
