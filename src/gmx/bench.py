@@ -99,11 +99,14 @@ def sweep(family: str, n: int, grid, cfg: OptimConfig, include_phi: bool = False
     """One record per grid value (tau for 'ds', gamma for 'dicke').
 
     Point ``i`` runs with seed ``cfg.seed + i``.  Every state is built
-    before the first point runs, so a bad parameter fails up front.
+    before the first point runs, so a bad parameter or an empty grid fails
+    up front.
     """
     if not 2 <= n <= 7:
         raise ValueError("sweeps cover 2 to 7 qubits")
     grid = [float(v) for v in grid]
+    if not grid:
+        raise ValueError("a sweep needs at least one point")
     rhos = [make_state(family, n, v) for v in grid]
     return [
         _sweep_point(family, n, v, rho, dataclasses.replace(cfg, seed=cfg.seed + i), include_phi)

@@ -139,29 +139,116 @@ def _first_columns(x: np.ndarray, n: int) -> np.ndarray:
     return cols
 
 
-def _choice_table(x: np.ndarray, n: int) -> np.ndarray:
+def _choice_table(cols: np.ndarray) -> np.ndarray:
     """Row ``m``: kron over qubits of (V column if mask bit 0 else W column).
 
-    Mask bits follow the basis convention (qubit 1 most significant), so a
-    bipartition mask indexes the vector that uses W exactly on side A.
+    ``cols`` has the shape ``(..., n, 2, 2)`` of ``_first_columns``; any
+    leading axes are batched.  Mask bits follow the basis convention
+    (qubit 1 most significant), so a bipartition mask indexes the vector
+    that uses W exactly on side A.
     """
-    cols = _first_columns(x, n)
-    table = np.ones((1, 1), dtype=complex)
-    for j in range(n):
-        table = (table[:, None, :, None] * cols[j][None, :, None, :]).reshape(
-            2 * table.shape[0], 2 * table.shape[1]
+    batch = cols.shape[:-3]
+    table = np.ones(batch + (1, 1), dtype=complex)
+    for j in range(cols.shape[-3]):
+        table = (table[..., :, None, :, None] * cols[..., j, None, :, None, :]).reshape(
+            batch + (2 * table.shape[-2], 2 * table.shape[-1])
         )
     return table
 
 
 def i_phi_from_vector(mat: np.ndarray, x: np.ndarray, n: int) -> float:
-    table = _choice_table(x, n)
+    table = _choice_table(_first_columns(x, n))
     t = table.conj() @ mat
     diag_exp = np.real(np.sum(t * table, axis=1))
     first = abs(t[-1] @ table[0])
     masks, comps = _bipartition_masks(n)
     cross = np.sqrt(np.clip(diag_exp[masks] * diag_exp[comps], 0.0, None))
     return float(first - cross.sum())
+
+
+@lru_cache(maxsize=None)
+def _row_bits(n: int) -> np.ndarray:
+    """(2n, 2**n) array: row ``b`` holds qubit ``b mod n``'s bit of every row index."""
+    bits = (np.arange(2 ** n) >> (n - 1 - np.arange(n))[:, None]) & 1
+    return np.tile(bits, (2, 1)).astype(float)
+
+
+def i_phi_gradient(mat: np.ndarray, x: np.ndarray, n: int) -> np.ndarray | None:
+    """Exact gradient of ``i_phi_from_vector`` in ``x``, or None at a kink.
+
+    The witness is smooth where ``|first| > 0`` and every product
+    ``d_m d_c`` under a square root is positive, ``d_m`` being the
+    diagonal term of table row ``m`` (never negative for a PSD ``rho``).
+    Values below the rounding level ``2**n * eps * |tr rho|`` count as
+    zero: at an angle of pi/2 the table holds cos(pi/2) ~ 6e-17, and a
+    term that is zero in exact arithmetic comes out near 1e-33.
+
+    The derivative tables come from the same batched ``_choice_table``
+    pass as the plain one: table ``1 + b`` has qubit ``b mod n``'s columns
+    replaced by their theta (``b < n``) or phi (``b >= n``) derivatives,
+    so its row ``m`` is the derivative of row ``m`` by that angle of V
+    where the qubit's bit of ``m`` is 0, and of W where it is 1.
+    """
+    cols = _first_columns(x, n)
+    angles = x.reshape(2, 2, n)  # (V or W, theta or phi, qubit)
+    theta, phase = angles[:, 0].T, angles[:, 1].T
+    d_cols = np.zeros((2, n, 2, 2), dtype=complex)
+    d_cols[0, ..., 0] = -np.sin(theta)
+    d_cols[0, ..., 1] = -np.cos(theta) * np.exp(-1j * phase)
+    d_cols[1, ..., 1] = -1j * cols[..., 1]
+    q = np.arange(n)
+    cols_b = np.repeat(cols[None], 2 * n + 1, axis=0)
+    cols_b[1:].reshape(2, n, n, 2, 2)[:, q, q] = d_cols
+    tables = _choice_table(cols_b)
+    table, dtables = tables[0], tables[1:]
+
+    t = table.conj() @ mat
+    diag_exp = np.real(np.sum(t * table, axis=1))
+    f = t[-1] @ table[0]
+    first = abs(f)
+    masks, comps = _bipartition_masks(n)
+    zero = 2 ** n * np.finfo(float).eps * abs(np.trace(mat))
+    if not (first > zero and np.all(diag_exp[1:-1] > zero)):
+        return None
+
+    # d sqrt(d_m d_c) / d d_m = d_c / (2 sqrt(d_m d_c)); rows 0 and 2**n - 1
+    # enter no square root.
+    roots = np.sqrt(diag_exp[masks] * diag_exp[comps])
+    weight = np.zeros(2 ** n)
+    weight[masks] = diag_exp[comps] / (2.0 * roots)
+    weight[comps] = diag_exp[masks] / (2.0 * roots)
+    # d d_m = 2 Re sum_k dt_m[k] T[m, k], with T = table^* rho.
+    d_cross = 2.0 * np.real(np.einsum("bmk,mk->bm", dtables, t)) * weight
+    bits = _row_bits(n)
+    # first = |f| with f = t_last^dag rho t_0, and d|f| = Re(conj(f) df) / |f|.
+    # V angles move t_0 (row 0): df = T[-1] . dt_0.  W angles move t_last:
+    # df = conj(dt_last . T[0]), since rho t_0 = conj(T[0]) for Hermitian rho.
+    d_first_v = np.real(np.conj(f) * (dtables[:, 0] @ t[-1])) / first
+    d_first_w = np.real(f * (dtables[:, -1] @ t[0])) / first
+    return np.concatenate([
+        d_first_v - np.sum((1.0 - bits) * d_cross, axis=1),
+        d_first_w - np.sum(bits * d_cross, axis=1),
+    ])
+
+
+def make_phi_problem(mat: np.ndarray, n: int):
+    """``(fun, grad)``: the negated witness ``c_phi_estimate`` minimizes, and its gradient.
+
+    ``grad`` is exact wherever the witness is smooth (``i_phi_gradient``).
+    At a kink, where no gradient exists, it falls back to central finite
+    differences of ``fun`` (``fd_gradient``), which average the one-sided
+    slopes within ``lugroup.FD_STEP`` of the point; a line search that cannot
+    descend along that direction ends the restart.
+    """
+
+    def fun(x: np.ndarray) -> float:
+        return -i_phi_from_vector(mat, x, n)
+
+    def grad(x: np.ndarray) -> np.ndarray:
+        g = i_phi_gradient(mat, x, n)
+        return fd_gradient(fun, x) if g is None else -g
+
+    return fun, grad
 
 
 def i_phi(rho: DensityMatrix, p: PhiParams) -> float:
@@ -194,19 +281,13 @@ def c_phi_estimate(
     by a penalty minimization with the identical configuration, which pins
     it at or above the X-heuristic estimate (that run is returned as
     ``x``); ``cfg.restarts`` random starts come on top.  The objective is
-    not everywhere differentiable, so gradients are central finite
-    differences and a failed line search simply ends that restart.
+    not everywhere differentiable: its gradient is exact where it is
+    smooth and central finite differences at a kink (``make_phi_problem``),
+    and a failed line search simply ends that restart.
     """
     rho.check_structure()
     n = rho.n_qubits
-    mat = rho.mat
-
-    def neg(x: np.ndarray) -> float:
-        return -i_phi_from_vector(mat, x, n)
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        return fd_gradient(neg, x)
-
+    neg, grad = make_phi_problem(rho.mat, n)
     starts = []
     xres = None
     if include_warm_starts:

@@ -216,11 +216,16 @@ def to_json_dict(rho: DensityMatrix) -> dict:
 
 
 def from_json_dict(doc: dict) -> DensityMatrix:
+    if not isinstance(doc, dict):
+        raise ValueError(f"state JSON must be an object, got {type(doc).__name__}")
     missing = [key for key in ("n_qubits", "re", "im") if key not in doc]
     if missing:
         raise ValueError(f"state JSON lacks the key(s) {', '.join(missing)}")
-    n = int(doc["n_qubits"])
-    mat = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
+    try:
+        n = int(doc["n_qubits"])
+        mat = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"malformed state JSON: {exc}") from None
     if mat.shape != (2 ** n, 2 ** n):
         raise ValueError(f"matrix shape {mat.shape} does not match n_qubits={n}")
     if herm_deviation(mat) > HERM_TOL:

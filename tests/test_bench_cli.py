@@ -71,6 +71,8 @@ def test_sweep_rejects_out_of_range(monkeypatch):
         sweep("dicke", 3, [1.0, -1.0], CFG)
     with pytest.raises(ValueError):
         sweep("ds", 3, [0.5, 1.5], CFG)
+    with pytest.raises(ValueError, match="at least one point"):
+        sweep("ds", 3, [], CFG)
 
 
 def test_make_state_families():
@@ -223,17 +225,30 @@ def test_cli_verify_takes_no_optimizer_flags():
     ["sweep-dicke", "--n", "3", "--gamma-min", "0"],
     ["estimate", "--state", "{missing}"],
     ["estimate", "--state", "{no_re}"],
+    ["estimate", "--state", "{not_object}"],
+    ["estimate", "--state", "{null_n}"],
+    ["sweep-ds", "--n", "2", "--points", "0"],
+    ["sweep-dicke", "--n", "2", "--points", "0", "--out", "{csv}"],
 ])
 def test_cli_input_errors_end_like_argparse_errors(tmp_path, args):
-    no_re = tmp_path / "no_re.json"
     doc = to_json_dict(make_state("ds", 2, 0.3))
-    del doc["re"]
-    no_re.write_text(json.dumps(doc))
-    paths = {"missing": tmp_path / "missing.json", "no_re": no_re}
+    paths = {
+        "csv": tmp_path / "sweep.csv",
+        "missing": tmp_path / "missing.json",
+        "no_re": tmp_path / "no_re.json",
+        "not_object": tmp_path / "not_object.json",
+        "null_n": tmp_path / "null_n.json",
+    }
+    paths["no_re"].write_text(json.dumps({k: v for k, v in doc.items() if k != "re"}))
+    paths["not_object"].write_text("3")
+    paths["null_n"].write_text(json.dumps({**doc, "n_qubits": None}))
     proc = run_cli(*(a.format(**paths) for a in args))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("gmx: error: ")
+    # Rejected before any output: no CSV header, no file.
+    assert proc.stdout == ""
+    assert not paths["csv"].exists()
 
 
 def test_cli_gmx_tol_env(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmx.lugroup import LUParams, _factors, conjugate
+from gmx.lugroup import LUParams, _factors, conjugate, fd_gradient
 from gmx.optim import OptimConfig
 from gmx.phi_scheme import (
     PhiParams,
@@ -9,12 +9,23 @@ from gmx.phi_scheme import (
     enumerate_bipartitions,
     frame_phi_params,
     i_phi,
+    i_phi_gradient,
+    make_phi_problem,
+    params_to_vector,
     phi_mu_params,
 )
 from gmx.heuristic import x_heuristic
-from gmx.states import DensityMatrix, DickeParams, dicke_steady_state, diagonal_symmetric, random_density_matrix, tau_populations
+from gmx.states import (
+    DensityMatrix,
+    DickeParams,
+    dicke_steady_state,
+    diagonal_symmetric,
+    pure_state,
+    random_density_matrix,
+    tau_populations,
+)
 from gmx.xform import gm_lower_bound_x, phi_mu_bound, x_concurrence, x_projection
-from helpers import ghz
+from helpers import ghz, random_states
 
 CFG = OptimConfig(restarts=4, seed=7)
 
@@ -86,6 +97,49 @@ def test_frame_params_transfer_rotated_frame_scores():
         for mu in range(2 ** (n - 1)):
             got = i_phi(rho, frame_phi_params(n, frame, mu))
             assert got == pytest.approx(float(scores[mu]), abs=1e-13)
+
+
+def test_exact_gradient_matches_central_differences():
+    # 32 points per qubit count cover every rank for N = 2..5.
+    rng = np.random.default_rng(55)
+    worst = 0.0
+    for rho in random_states({2: 32, 3: 32, 4: 32, 5: 32}, seed0=300):
+        n = rho.n_qubits
+        x = np.concatenate([rng.uniform(0, period, n) for period in (np.pi, 2 * np.pi) * 2])
+        fun, grad = make_phi_problem(rho.mat, n)
+        exact = i_phi_gradient(rho.mat, x, n)
+        assert exact is not None  # a generic point is smooth
+        assert np.array_equal(grad(x), -exact)
+        fd = -fd_gradient(fun, x)
+        worst = max(worst, float(np.linalg.norm(exact - fd) / np.linalg.norm(fd)))
+    assert worst <= 1e-6
+
+
+def _zero_diagonal_state():
+    # A pure state with no weight on |011>: d_3 = 0 at the pair-0 point.
+    v = np.random.default_rng(66).standard_normal(8) + 0j
+    v[3] = 0.0
+    return pure_state(3, v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("rho", [ghz(3), _zero_diagonal_state()], ids=["ghz", "zero-diagonal"])
+def test_kinks_fall_back_to_central_differences(rho):
+    x = params_to_vector(phi_mu_params(3, 0))
+    assert i_phi_gradient(rho.mat, x, 3) is None
+    fun, grad = make_phi_problem(rho.mat, 3)
+    assert np.array_equal(grad(x), fd_gradient(fun, x))
+
+
+def test_estimate_uses_central_differences_only_at_kinks(monkeypatch):
+    kinks = []
+
+    def counted(fun, x, *args):
+        kinks.append(i_phi_gradient(ghz(3).mat, x, 3) is None)
+        return fd_gradient(fun, x, *args)
+
+    monkeypatch.setattr("gmx.phi_scheme.fd_gradient", counted)
+    c_phi_estimate(ghz(3), OptimConfig(restarts=2, seed=1))
+    assert kinks and all(kinks)
 
 
 def test_c_phi_saturates_on_x_states():

@@ -222,6 +222,16 @@ def test_json_rejects_missing_keys():
             from_json_dict(partial)
 
 
+def test_json_rejects_malformed_documents():
+    doc = to_json_dict(dicke_steady_state(DickeParams(2, 1.4)))
+    for bad in (3, [doc], "state", None):
+        with pytest.raises(ValueError, match="must be an object"):
+            from_json_dict(bad)
+    for key, value in (("n_qubits", None), ("n_qubits", [2]), ("re", {"a": 1})):
+        with pytest.raises(ValueError, match="malformed"):
+            from_json_dict({**doc, key: value})
+
+
 def test_dicke_state_normalization_constant():
     for n, k in [(5, 2), (6, 3)]:
         v = dicke_state(n, k)
