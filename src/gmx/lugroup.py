@@ -73,22 +73,13 @@ def canonicalize(p: LUParams) -> LUParams:
 
 def su2(theta: float, phi: float) -> np.ndarray:
     """Two-parameter single-qubit special unitary (determinant 1)."""
-    c, s, e = np.cos(theta), np.sin(theta), np.exp(1j * phi)
-    return np.array([[c, s * e], [-s * np.conj(e), c]])
+    return _factors(np.array([theta, phi], dtype=float), 1)[0]
 
 
-def su2_dtheta(theta: float, phi: float) -> np.ndarray:
-    c, s, e = np.cos(theta), np.sin(theta), np.exp(1j * phi)
-    return np.array([[-s, c * e], [-c * np.conj(e), -s]])
-
-
-def su2_dphi(theta: float, phi: float) -> np.ndarray:
-    s, e = np.sin(theta), np.exp(1j * phi)
-    return np.array([[0.0, 1j * s * e], [1j * s * np.conj(e), 0.0]])
-
-
-def _factors(x: np.ndarray, n: int) -> list[np.ndarray]:
-    return [su2(x[j], x[n + j]) for j in range(n)]
+def _factors(x: np.ndarray, n: int) -> np.ndarray:
+    """(n, 2, 2) array of the per-qubit ``su2`` factors of packed angles."""
+    c, s, e = np.cos(x[:n]), np.sin(x[:n]), np.exp(1j * x[n:])
+    return np.stack([c, s * e, -s * np.conj(e), c], axis=-1).reshape(n, 2, 2)
 
 
 def assemble(p: LUParams) -> np.ndarray:
@@ -96,54 +87,63 @@ def assemble(p: LUParams) -> np.ndarray:
     return kron_all(_factors(params_to_vector(p), p.n_qubits))
 
 
+def apply_local(mat: np.ndarray, factors) -> np.ndarray:
+    """U mat U^dag for U the Kronecker product of 2x2 ``factors``, qubit 1 leftmost.
+
+    One row contraction per qubit, O(N 4**N) in all; the columns go the same
+    way through the conjugate transpose, which beats contracting them in place.
+    """
+    dim = mat.shape[0]
+    out = mat
+    for _ in range(2):
+        for j, u in enumerate(factors):
+            out = (u @ out.reshape(2 ** j, 2, -1)).reshape(dim, dim)
+        out = out.conj().T
+    return np.ascontiguousarray(out)
+
+
 def conjugate(rho: DensityMatrix, p: LUParams) -> DensityMatrix:
     """U rho U^dag for the product unitary described by ``p``."""
     if p.n_qubits != rho.n_qubits:
         raise ValueError(f"parameter count for {p.n_qubits} qubits, state has {rho.n_qubits}")
-    u = assemble(p)
-    return _wrap(rho.n_qubits, u @ rho.mat @ u.conj().T)
+    return _wrap(rho.n_qubits, apply_local(rho.mat, _factors(params_to_vector(p), p.n_qubits)))
 
 
 def make_penalty_problem(mat: np.ndarray, n_qubits: int):
     """Return (fun, grad) closures for the penalty objective on packed angles.
 
-    ``fun(x)`` is the off-X squared weight of ``U(x) mat U(x)^dag``;
-    ``grad(x)`` is its exact gradient, obtained by differentiating each
-    unitary factor (product rule) rather than by finite differences.
+    ``fun(x)`` is the off-X squared weight of ``sigma = U(x) mat U(x)^dag``;
+    ``grad(x)`` its exact gradient ``2 Re tr(B_j red_j)``, with
+    ``B_j = (d u_j) u_j^dag`` and ``red_j`` the 2x2 reduction onto qubit j
+    of ``sigma G``, ``G = mask o sigma``.  The problem keeps its last point
+    and sigma, so a gradient at the point of the preceding value reuses it.
     """
-    dim = mat.shape[0]
-    mask = off_x_mask(dim)
+    n = n_qubits
+    mask = off_x_mask(mat.shape[0])
+    last: list = [None, None]
+
+    def sigma(x: np.ndarray) -> np.ndarray:
+        if not np.array_equal(last[0], x):
+            last[:] = [np.array(x, dtype=float), apply_local(mat, _factors(x, n))]
+        return last[1]
 
     def fun(x: np.ndarray) -> float:
-        u = kron_all(_factors(x, n_qubits))
-        return penalty_from_matrix(u @ mat @ u.conj().T)
+        return penalty_from_matrix(sigma(x))
 
     def grad(x: np.ndarray) -> np.ndarray:
-        factors = _factors(x, n_qubits)
-        u = kron_all(factors)
-        rho_t = u @ mat @ u.conj().T
-        # d f = 2 Re tr(K dU) with K = mat U^dag (mask o rho_t); the mask
-        # selects the off-X entries whose squared moduli make up f.
-        k = mat @ u.conj().T @ (mask * rho_t)
-
-        # Prefix/suffix Kronecker products shared by the theta and phi
-        # derivatives of each factor.
-        one = np.array([[1.0 + 0.0j]])
-        prefix = [one]
-        for f in factors[:-1]:
-            prefix.append(np.kron(prefix[-1], f))
-        suffix = [one]
-        for f in reversed(factors[1:]):
-            suffix.append(np.kron(f, suffix[-1]))
-        suffix.reverse()
-
-        out = np.empty(2 * n_qubits)
-        for j in range(n_qubits):
-            dth = np.kron(prefix[j], np.kron(su2_dtheta(x[j], x[n_qubits + j]), suffix[j]))
-            dph = np.kron(prefix[j], np.kron(su2_dphi(x[j], x[n_qubits + j]), suffix[j]))
-            out[j] = 2.0 * np.einsum("ij,ji->", k, dth).real
-            out[n_qubits + j] = 2.0 * np.einsum("ij,ji->", k, dph).real
-        return out
+        s = sigma(x)
+        gc = mask * s.conj()
+        # red[j, b, a] = sum over the other qubits of (sigma G)[(..b..), (..a..)]
+        red = np.stack([
+            (s.reshape(2 ** j, 2, -1) @ gc.reshape(2 ** j, 2, -1).transpose(0, 2, 1)).sum(0)
+            for j in range(n)
+        ])
+        c, sn, e = np.cos(x[:n]), np.sin(x[:n]), np.exp(1j * x[n:])
+        lo, up = e * red[:, 1, 0], np.conj(e) * red[:, 0, 1]
+        # B_theta = [[0, e], [-e*, 0]];  B_phi = i sin [[sin, cos e], [cos e*, -sin]]
+        dth = lo - up
+        dph = 1j * sn * (sn * (red[:, 0, 0] - red[:, 1, 1]) + c * (lo + up))
+        return 2.0 * np.concatenate([dth, dph]).real
 
     return fun, grad
 
@@ -163,11 +163,4 @@ def grad_penalty_fd(rho: DensityMatrix, p: LUParams, h: float = FD_STEP) -> np.n
 def fd_gradient(fun, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """Central finite differences of an arbitrary scalar function."""
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.size)
-    for i in range(x.size):
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        out[i] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return out
+    return np.array([(fun(x + d) - fun(x - d)) / (2.0 * h) for d in h * np.eye(x.size)])

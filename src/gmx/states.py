@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,16 +43,19 @@ class DensityMatrix:
         """
         if self.n_qubits < 2:
             raise ValueError(f"GM-concurrence needs at least two qubits, got n_qubits={self.n_qubits}")
+        self.check_entries()
+        return self
+
+    def check_entries(self) -> None:
+        """Raise ValueError unless the matrix is 2**N x 2**N with finite entries."""
         if self.mat.shape != (self.dim, self.dim):
             raise ValueError(f"matrix shape {self.mat.shape} does not match n_qubits={self.n_qubits}")
         if not np.isfinite(self.mat).all():
             raise ValueError("density matrix has non-finite entries")
-        return self
 
     def validate(self, eig_tol: float = 1e-10) -> "DensityMatrix":
         """Raise ValueError unless Hermitian/trace-one/PSD within tolerance."""
-        if self.mat.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix shape {self.mat.shape} does not match n_qubits={self.n_qubits}")
+        self.check_entries()
         dev = herm_deviation(self.mat)
         if dev > 1e-12:
             raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
@@ -221,13 +225,15 @@ def from_json_dict(doc: dict) -> DensityMatrix:
     missing = [key for key in ("n_qubits", "re", "im") if key not in doc]
     if missing:
         raise ValueError(f"state JSON lacks the key(s) {', '.join(missing)}")
+    n = doc["n_qubits"]
+    if not (isinstance(n, numbers.Integral) or isinstance(n, float) and n.is_integer()):
+        raise ValueError(f"malformed state JSON: n_qubits must be an integer, got {n!r}")
+    n = int(n)
     try:
-        n = int(doc["n_qubits"])
         mat = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
     except TypeError as exc:
         raise ValueError(f"malformed state JSON: {exc}") from None
-    if mat.shape != (2 ** n, 2 ** n):
-        raise ValueError(f"matrix shape {mat.shape} does not match n_qubits={n}")
+    DensityMatrix(n, mat).check_entries()
     if herm_deviation(mat) > HERM_TOL:
         raise ValueError("JSON density matrix is not Hermitian")
     return _wrap(n, mat).validate()

@@ -229,6 +229,8 @@ def test_cli_verify_takes_no_optimizer_flags():
     ["estimate", "--state", "{null_n}"],
     ["sweep-ds", "--n", "2", "--points", "0"],
     ["sweep-dicke", "--n", "2", "--points", "0", "--out", "{csv}"],
+    ["estimate", "--state", "{null_re}"],
+    ["estimate", "--state", "{fractional_n}"],
 ])
 def test_cli_input_errors_end_like_argparse_errors(tmp_path, args):
     doc = to_json_dict(make_state("ds", 2, 0.3))
@@ -238,10 +240,16 @@ def test_cli_input_errors_end_like_argparse_errors(tmp_path, args):
         "no_re": tmp_path / "no_re.json",
         "not_object": tmp_path / "not_object.json",
         "null_n": tmp_path / "null_n.json",
+        "null_re": tmp_path / "null_re.json",
+        "fractional_n": tmp_path / "fractional_n.json",
     }
     paths["no_re"].write_text(json.dumps({k: v for k, v in doc.items() if k != "re"}))
     paths["not_object"].write_text("3")
     paths["null_n"].write_text(json.dumps({**doc, "n_qubits": None}))
+    null_re = [row[:] for row in doc["re"]]
+    null_re[0][0] = None
+    paths["null_re"].write_text(json.dumps({**doc, "re": null_re}))
+    paths["fractional_n"].write_text(json.dumps({**doc, "n_qubits": 2.7}))
     proc = run_cli(*(a.format(**paths) for a in args))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -3,6 +3,7 @@ import pytest
 
 from gmx.lugroup import (
     LUParams,
+    apply_local,
     assemble,
     canonicalize,
     conjugate,
@@ -127,6 +128,55 @@ def test_analytic_gradient_matches_finite_differences():
         gf = grad_penalty_fd(rho, p)
         worst = max(worst, np.abs(ga - gf).max() / max(np.abs(gf).max(), 1e-12))
     assert worst < 1e-6
+
+
+def random_point(rng, n):
+    return LUParams(n, rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_apply_local_matches_dense_conjugation(n):
+    rng = np.random.default_rng([7, n])
+    rho = random_density_matrix(n, min(4, 2 ** n), seed=n)
+    p = random_point(rng, n)
+    u = assemble(p)
+    dense = u @ rho.mat @ u.conj().T
+    factors = [su2(t, f) for t, f in zip(p.thetas, p.phis)]
+    assert np.abs(apply_local(rho.mat, factors) - dense).max() <= 1e-14
+    assert np.abs(conjugate(rho, p).mat - dense).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gradient_matches_finite_differences_up_to_eight_qubits(n):
+    rng = np.random.default_rng([8, n])
+    worst = 0.0
+    for k in range(10):
+        rho = random_density_matrix(n, int(rng.integers(1, 2 ** n + 1)), seed=100 * n + k)
+        p = random_point(rng, n)
+        ga = grad_penalty(rho, p)
+        gf = grad_penalty_fd(rho, p)
+        worst = max(worst, np.abs(ga - gf).max() / max(np.abs(gf).max(), 1e-12))
+    assert worst < 1e-6
+
+
+def test_shared_sigma_is_never_stale():
+    rng = np.random.default_rng(9)
+    rho = random_density_matrix(4, 5, seed=9)
+
+    def fresh(which, x):
+        return make_penalty_problem(rho.mat, 4)[which](x.copy())
+
+    fun, grad = make_penalty_problem(rho.mat, 4)
+    x = params_to_vector(random_point(rng, 4))
+    fun(x)
+    x[2] += 0.3  # mutated in place after the value call
+    assert np.array_equal(grad(x), fresh(1, x))
+
+    a = params_to_vector(random_point(rng, 4))
+    b = params_to_vector(random_point(rng, 4))
+    problem = make_penalty_problem(rho.mat, 4)
+    for which, x in ((0, a), (1, b), (0, b), (1, a), (1, b), (0, a), (1, a), (0, b)):
+        assert np.array_equal(problem[which](x), fresh(which, x))
 
 
 def test_objective_periodic_in_theta():

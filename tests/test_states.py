@@ -7,6 +7,7 @@ import pytest
 
 from gmx.golden import dicke_norm_closed, dicke_reference, ds_reference
 from gmx.states import (
+    DensityMatrix,
     DiagSymParams,
     DickeParams,
     collective_ops,
@@ -230,6 +231,26 @@ def test_json_rejects_malformed_documents():
     for key, value in (("n_qubits", None), ("n_qubits", [2]), ("re", {"a": 1})):
         with pytest.raises(ValueError, match="malformed"):
             from_json_dict({**doc, key: value})
+
+
+def test_json_accepts_only_integral_qubit_counts():
+    doc = to_json_dict(dicke_steady_state(DickeParams(2, 1.4)))
+    for value in (2.7, 2.5, float("nan"), float("inf"), "2"):
+        with pytest.raises(ValueError, match="n_qubits must be an integer"):
+            from_json_dict({**doc, "n_qubits": value})
+    for value in (2, 2.0, np.int64(2)):
+        assert from_json_dict({**doc, "n_qubits": value}).n_qubits == 2
+
+
+def test_validate_rejects_non_finite_entries():
+    doc = to_json_dict(dicke_steady_state(DickeParams(2, 1.4)))
+    for bad in (float("nan"), float("inf")):
+        re = [row[:] for row in doc["re"]]
+        re[1][2] = re[2][1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            from_json_dict({**doc, "re": re})
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(2, np.array(re) + 1j * np.array(doc["im"])).validate()
 
 
 def test_dicke_state_normalization_constant():
