@@ -77,6 +77,9 @@ def _optim_fields(optim) -> dict:
         "converged": optim.converged,
         "restarts_used": optim.restarts_used,
         "wall_time_s": optim.wall_time,
+        "value_rows": optim.value_rows,
+        "grad_rows": optim.grad_rows,
+        "line_search": optim.line_search,
     }
 
 

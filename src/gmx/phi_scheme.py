@@ -127,16 +127,12 @@ def frame_phi_params(n_qubits: int, frame_factors, mu: int) -> PhiParams:
     return PhiParams(n_qubits=n_qubits, v_angles=v, w_angles=w)
 
 
-def _first_columns(x: np.ndarray, n: int) -> np.ndarray:
-    """(n, 2, 2) array: per qubit, first columns of V (row 0) and W (row 1)."""
-    vt, vp = x[:n], x[n: 2 * n]
-    wt, wp = x[2 * n: 3 * n], x[3 * n:]
-    cols = np.empty((n, 2, 2), dtype=complex)
-    cols[:, 0, 0] = np.cos(vt)
-    cols[:, 0, 1] = -np.sin(vt) * np.exp(-1j * vp)
-    cols[:, 1, 0] = np.cos(wt)
-    cols[:, 1, 1] = -np.sin(wt) * np.exp(-1j * wp)
-    return cols
+def _first_columns(rows: np.ndarray, n: int):
+    """Per point of a stack ``(k, 4n)`` and qubit, first columns of V (row 0) and W (row 1), shape
+    ``(k, n, 2, 2)``, and the sin, cos and ``e^{-i phi}`` they are built from, each ``(k, n, 2)``."""
+    angles = rows.reshape(-1, 2, 2, n).transpose(0, 3, 1, 2)  # (point, qubit, V or W, theta or phi)
+    sin, cos, phase = np.sin(angles[..., 0]), np.cos(angles[..., 0]), np.exp(-1j * angles[..., 1])
+    return np.stack([cos, -sin * phase], axis=-1), sin, cos, phase
 
 
 def _choice_table(cols: np.ndarray) -> np.ndarray:
@@ -156,14 +152,28 @@ def _choice_table(cols: np.ndarray) -> np.ndarray:
     return table
 
 
-def i_phi_from_vector(mat: np.ndarray, x: np.ndarray, n: int) -> float:
-    table = _choice_table(_first_columns(x, n))
+def _witness_terms(mat: np.ndarray, table: np.ndarray):
+    """``T = table^* rho``, the diagonal terms ``d_m``, ``f = T_last . table_0`` and ``|f|``, batched."""
     t = table.conj() @ mat
-    diag_exp = np.real(np.sum(t * table, axis=1))
-    first = abs(t[-1] @ table[0])
+    diag_exp = (t * table).sum(axis=-1).real
+    f = (t[..., -1, None, :] @ table[..., 0, :, None])[..., 0, 0]
+    # hypot is the modulus Python's abs() takes of one complex number;
+    # numpy's vectorized complex abs can round the last bit differently.
+    return t, diag_exp, f, np.hypot(f.real, f.imag)
+
+
+def i_phi_from_vector(mat: np.ndarray, x: np.ndarray, n: int):
+    """The witness at packed angles ``x``; a float, or one per row of a stack ``(..., 4n)``."""
+    x = np.asarray(x, dtype=float)
+    # A single point goes through as a stack of one, so that its value is
+    # bit for bit the row it would be in any stack.
+    _, diag_exp, _, first = _witness_terms(mat, _choice_table(_first_columns(x.reshape(-1, 4 * n), n)[0]))
     masks, comps = _bipartition_masks(n)
-    cross = np.sqrt(np.clip(diag_exp[masks] * diag_exp[comps], 0.0, None))
-    return float(first - cross.sum())
+    # ``take`` keeps the rows contiguous: summed over a strided axis, a row
+    # would add up in another order than a lone point's.
+    cross = np.sqrt(np.maximum(diag_exp.take(masks, axis=-1) * diag_exp.take(comps, axis=-1), 0.0))
+    value = first - cross.sum(axis=-1)
+    return float(value[0]) if x.ndim == 1 else value.reshape(x.shape[:-1])
 
 
 @lru_cache(maxsize=None)
@@ -176,12 +186,14 @@ def _row_bits(n: int) -> np.ndarray:
 def i_phi_gradient(mat: np.ndarray, x: np.ndarray, n: int) -> np.ndarray | None:
     """Exact gradient of ``i_phi_from_vector`` in ``x``, or None at a kink.
 
-    The witness is smooth where ``|first| > 0`` and every product
-    ``d_m d_c`` under a square root is positive, ``d_m`` being the
-    diagonal term of table row ``m`` (never negative for a PSD ``rho``).
-    Values below the rounding level ``2**n * eps * |tr rho|`` count as
-    zero: at an angle of pi/2 the table holds cos(pi/2) ~ 6e-17, and a
-    term that is zero in exact arithmetic comes out near 1e-33.
+    For a stack ``(..., 4n)`` of points it returns the stacked gradients,
+    with a row of NaN at each kink.  The witness is smooth where
+    ``|first| > 0`` and every product ``d_m d_c`` under a square root is
+    positive, ``d_m`` being the diagonal term of table row ``m`` (never
+    negative for a PSD ``rho``).  Values below the rounding level
+    ``2**n * eps * |tr rho|`` count as zero: at an angle of pi/2 the table
+    holds cos(pi/2) ~ 6e-17, and a term that is zero in exact arithmetic
+    comes out near 1e-33.
 
     The derivative tables come from the same batched ``_choice_table``
     pass as the plain one: table ``1 + b`` has qubit ``b mod n``'s columns
@@ -189,64 +201,77 @@ def i_phi_gradient(mat: np.ndarray, x: np.ndarray, n: int) -> np.ndarray | None:
     so its row ``m`` is the derivative of row ``m`` by that angle of V
     where the qubit's bit of ``m`` is 0, and of W where it is 1.
     """
-    cols = _first_columns(x, n)
-    angles = x.reshape(2, 2, n)  # (V or W, theta or phi, qubit)
-    theta, phase = angles[:, 0].T, angles[:, 1].T
-    d_cols = np.zeros((2, n, 2, 2), dtype=complex)
-    d_cols[0, ..., 0] = -np.sin(theta)
-    d_cols[0, ..., 1] = -np.cos(theta) * np.exp(-1j * phase)
-    d_cols[1, ..., 1] = -1j * cols[..., 1]
+    x = np.asarray(x, dtype=float)
+    rows = x.reshape(-1, 4 * n)
+    k = rows.shape[0]
+    cols, sin, cos, phase = _first_columns(rows, n)
+    d_cols = np.zeros((k, 2, n, 2, 2), dtype=complex)  # (point, theta or phi, qubit, V or W, entry)
+    d_cols[:, 0, ..., 0] = -sin
+    d_cols[:, 0, ..., 1] = -cos * phase
+    d_cols[:, 1, ..., 1] = -1j * cols[..., 1]
     q = np.arange(n)
-    cols_b = np.repeat(cols[None], 2 * n + 1, axis=0)
-    cols_b[1:].reshape(2, n, n, 2, 2)[:, q, q] = d_cols
+    cols_b = np.repeat(cols[:, None], 2 * n + 1, axis=1)
+    cols_b[:, 1:].reshape(k, 2, n, n, 2, 2)[:, :, q, q] = d_cols
     tables = _choice_table(cols_b)
-    table, dtables = tables[0], tables[1:]
+    table, dtables = tables[:, 0], tables[:, 1:]
 
-    t = table.conj() @ mat
-    diag_exp = np.real(np.sum(t * table, axis=1))
-    f = t[-1] @ table[0]
-    first = abs(f)
+    t, diag_exp, f, first = _witness_terms(mat, table)
     masks, comps = _bipartition_masks(n)
     zero = 2 ** n * np.finfo(float).eps * abs(np.trace(mat))
-    if not (first > zero and np.all(diag_exp[1:-1] > zero)):
-        return None
+    smooth = (first > zero) & (diag_exp[:, 1:-1] > zero).all(axis=-1)
+    if not smooth.all():
+        if x.ndim == 1:
+            return None
+        # Rare: redo the smooth rows alone, which leaves them bit for bit as they are.
+        g = np.full(rows.shape, np.nan)
+        g[smooth] = i_phi_gradient(mat, rows[smooth], n)
+        return g.reshape(x.shape)
 
     # d sqrt(d_m d_c) / d d_m = d_c / (2 sqrt(d_m d_c)); rows 0 and 2**n - 1
     # enter no square root.
-    roots = np.sqrt(diag_exp[masks] * diag_exp[comps])
-    weight = np.zeros(2 ** n)
-    weight[masks] = diag_exp[comps] / (2.0 * roots)
-    weight[comps] = diag_exp[masks] / (2.0 * roots)
-    # d d_m = 2 Re sum_k dt_m[k] T[m, k], with T = table^* rho.
-    d_cross = 2.0 * np.real(np.einsum("bmk,mk->bm", dtables, t)) * weight
+    d_m, d_c = diag_exp.take(masks, axis=1), diag_exp.take(comps, axis=1)
+    roots = np.sqrt(d_m * d_c)
+    weight = np.zeros(diag_exp.shape)
+    weight[:, masks] = d_c / (2.0 * roots)
+    weight[:, comps] = d_m / (2.0 * roots)
+    # d d_m = 2 Re sum_j dt_m[j] T[m, j], with T = table^* rho.
+    d_cross = 2.0 * np.real(np.einsum("kbmj,kmj->kbm", dtables, t)) * weight[:, None]
     bits = _row_bits(n)
     # first = |f| with f = t_last^dag rho t_0, and d|f| = Re(conj(f) df) / |f|.
     # V angles move t_0 (row 0): df = T[-1] . dt_0.  W angles move t_last:
     # df = conj(dt_last . T[0]), since rho t_0 = conj(T[0]) for Hermitian rho.
-    d_first_v = np.real(np.conj(f) * (dtables[:, 0] @ t[-1])) / first
-    d_first_w = np.real(f * (dtables[:, -1] @ t[0])) / first
-    return np.concatenate([
-        d_first_v - np.sum((1.0 - bits) * d_cross, axis=1),
-        d_first_w - np.sum(bits * d_cross, axis=1),
-    ])
+    d_first_v = np.real(np.conj(f)[:, None] * (dtables[:, :, 0] @ t[:, -1, :, None])[..., 0]) / first[:, None]
+    d_first_w = np.real(f[:, None] * (dtables[:, :, -1] @ t[:, 0, :, None])[..., 0]) / first[:, None]
+    g = np.concatenate([
+        d_first_v - np.sum((1.0 - bits) * d_cross, axis=-1),
+        d_first_w - np.sum(bits * d_cross, axis=-1),
+    ], axis=-1)
+    return g[0] if x.ndim == 1 else g.reshape(x.shape)
 
 
 def make_phi_problem(mat: np.ndarray, n: int):
     """``(fun, grad)``: the negated witness ``c_phi_estimate`` minimizes, and its gradient.
 
-    ``grad`` is exact wherever the witness is smooth (``i_phi_gradient``).
-    At a kink, where no gradient exists, it falls back to central finite
+    Both accept one point or a stack ``(k, 4n)`` of them.  ``grad`` is
+    exact wherever the witness is smooth (``i_phi_gradient``).  At a kink,
+    where no gradient exists, that row falls back to central finite
     differences of ``fun`` (``fd_gradient``), which average the one-sided
-    slopes within ``lugroup.FD_STEP`` of the point; a line search that cannot
-    descend along that direction ends the restart.
+    slopes within ``lugroup.FD_STEP`` of the point; a line search that
+    cannot descend along that direction ends the restart.
     """
 
-    def fun(x: np.ndarray) -> float:
+    def fun(x: np.ndarray):
         return -i_phi_from_vector(mat, x, n)
 
     def grad(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
         g = i_phi_gradient(mat, x, n)
-        return fd_gradient(fun, x) if g is None else -g
+        if x.ndim == 1:
+            return fd_gradient(fun, x) if g is None else -g
+        g = -g
+        for i in np.flatnonzero(np.isnan(g[:, 0])):
+            g[i] = fd_gradient(fun, x[i])
+        return g
 
     return fun, grad
 

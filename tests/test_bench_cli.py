@@ -178,6 +178,12 @@ def test_cli_estimate_ghz(tmp_path):
     assert doc["gm_lower_bound_x"] == pytest.approx(1.0, abs=1e-12)
     assert doc["x_heuristic"]["estimate"] == pytest.approx(1.0, abs=1e-9)
     assert doc["phi_scheme"]["estimate"] == pytest.approx(1.0, abs=1e-9)
+    # The optimizer's counts follow the existing keys; no estimate column moves.
+    for scheme in ("x_heuristic", "phi_scheme"):
+        fields = doc[scheme]
+        assert list(fields)[-4:] == ["wall_time_s", "value_rows", "grad_rows", "line_search"]
+        assert fields["value_rows"] >= fields["grad_rows"] >= fields["restarts_used"]
+        assert fields["line_search"] in ("ok", "flat", "fail", "none")
 
 
 def test_cli_sweep_writes_csv_and_manifest(tmp_path):

@@ -9,8 +9,9 @@ CFG = OptimConfig(restarts=20, seed=0)
 
 
 def quadratic(center):
+    # Like every multi-start objective here, it takes a stack of points too.
     c = np.asarray(center, dtype=float)
-    return (lambda x: float(np.sum((x - c) ** 2)), lambda x: 2.0 * (x - c))
+    return (lambda x: np.sum((x - c) ** 2, axis=-1), lambda x: 2.0 * (x - c))
 
 
 def rosenbrock(x):
@@ -101,11 +102,11 @@ def test_multi_start_single_basin_matches_single_run():
 
 def double_well(x):
     # two unequal wells; global minimum on the negative side
-    return float((x[0] ** 2 - 1.0) ** 2 + 0.3 * x[0])
+    return (x[..., 0] ** 2 - 1.0) ** 2 + 0.3 * x[..., 0]
 
 
 def double_well_grad(x):
-    return np.array([4.0 * x[0] * (x[0] ** 2 - 1.0) + 0.3])
+    return 4.0 * x[..., :1] * (x[..., :1] ** 2 - 1.0) + 0.3
 
 
 def test_multi_start_finds_global_basin():
