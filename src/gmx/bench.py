@@ -65,6 +65,8 @@ class TimingSummary:
 
 
 def make_state(family: str, n: int, parameter: float) -> DensityMatrix:
+    if not 2 <= n <= 8:
+        raise ValueError(f"states cover 2 to 8 qubits, got {n}")
     if family == "ds":
         return diagonal_symmetric(tau_populations(n, parameter))
     if family == "dicke":

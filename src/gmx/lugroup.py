@@ -13,6 +13,7 @@ reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,19 +88,47 @@ def assemble(p: LUParams) -> np.ndarray:
     return kron_all(_factors(params_to_vector(p), p.n_qubits))
 
 
+def _halves(n: int) -> tuple[int, int]:
+    """Qubit counts of the two halves U = U_A (x) U_B: the first ceil(n/2) and the rest."""
+    a = (n + 1) // 2
+    return a, n - a
+
+
 def apply_local(mat: np.ndarray, factors) -> np.ndarray:
     """U mat U^dag for U the Kronecker product of 2x2 ``factors``, qubit 1 leftmost.
 
-    One row contraction per qubit, O(N 4**N) in all; the columns go the same
-    way through the conjugate transpose, which beats contracting them in place.
+    U splits as U_A (x) U_B over the first ceil(N/2) qubits and the rest.
+    The rows take two matrix products, U_A on the leading index and U_B,
+    batched over U_A's rows, on the next; the columns go the same way
+    through the conjugate transpose, which beats contracting them in place.
     """
     dim = mat.shape[0]
+    a, _ = _halves(len(factors))
+    u_a, u_b = kron_all(factors[:a]), kron_all(factors[a:])
     out = mat
     for _ in range(2):
-        for j, u in enumerate(factors):
-            out = (u @ out.reshape(2 ** j, 2, -1)).reshape(dim, dim)
+        out = u_a @ out.reshape(u_a.shape[0], -1)
+        out = (u_b @ out.reshape(u_a.shape[0], u_b.shape[0], dim)).reshape(dim, dim)
         out = out.conj().T
     return np.ascontiguousarray(out)
+
+
+@lru_cache(maxsize=None)
+def _trace_table(m: int) -> np.ndarray:
+    """Flat indices into a 2**m x 2**m matrix K whose sums are its qubit reductions.
+
+    ``K.ravel()[table].sum(-1)[j, b, c]`` is the sum of ``K[r, s]`` over the
+    index pairs in which qubit j reads b in ``r`` and c in ``s`` and every
+    other qubit agrees; shape ``(m, 2, 2, 2**(m-1))``.
+    """
+    d = 2 ** m
+    idx = np.arange(d).reshape((2,) * m)
+    table = np.empty((m, 2, 2, d // 2), dtype=np.intp)
+    for j in range(m):
+        rows = np.moveaxis(idx, j, 0).reshape(2, -1)  # rows[b]: qubit j reads b
+        table[j] = rows[:, None, :] * d + rows[None, :, :]
+    table.flags.writeable = False
+    return table
 
 
 def conjugate(rho: DensityMatrix, p: LUParams) -> DensityMatrix:
@@ -115,12 +144,16 @@ def make_penalty_problem(mat: np.ndarray, n_qubits: int):
     ``fun(x)`` is the off-X squared weight of ``sigma = U(x) mat U(x)^dag``;
     ``grad(x)`` its exact gradient ``2 Re tr(B_j red_j)``, with
     ``B_j = (d u_j) u_j^dag`` and ``red_j`` the 2x2 reduction onto qubit j
-    of ``sigma G``, ``G = mask o sigma``.  Both accept a stack of points,
-    shape ``(k, 2N)``, and loop over its rows: a stacked ``apply_local`` is
-    no faster at N >= 6.  The problem keeps sigma for every point of its
-    last value call, so a gradient at any of those points reuses it.
+    of ``sigma G``, ``G = mask o sigma``.  The N reductions come from two
+    matrix products, the reductions of ``sigma G`` onto the halves of
+    ``apply_local``'s split, and one index gather per half.  Both accept a
+    stack of points, shape ``(k, 2N)``, and loop over its rows.  The
+    problem keeps sigma for every point of its last value call, so a
+    gradient at any of those points reuses it.
     """
     n = n_qubits
+    a, b = _halves(n)
+    da, db = 2 ** a, 2 ** b
     mask = off_x_mask(mat.shape[0])
     cache: dict[bytes, np.ndarray] = {}
 
@@ -143,10 +176,13 @@ def make_penalty_problem(mat: np.ndarray, n_qubits: int):
             return np.array([grad(r) for r in x])
         s = sigma(x)
         gc = mask * s.conj()
-        # red[j, b, a] = sum over the other qubits of (sigma G)[(..b..), (..a..)]
-        red = np.stack([
-            (s.reshape(2 ** j, 2, -1) @ gc.reshape(2 ** j, 2, -1).transpose(0, 2, 1)).sum(0)
-            for j in range(n)
+        # red[j, b, a] = sum over the other qubits of (sigma G)[(..b..), (..a..)],
+        # gathered from k_a = tr_B(sigma G) and k_b = tr_A(sigma G).
+        k_a = s.reshape(da, -1) @ gc.reshape(da, -1).T
+        k_b = (s.reshape(da, db, -1) @ gc.reshape(da, db, -1).transpose(0, 2, 1)).sum(0)
+        red = np.concatenate([
+            k_a.ravel()[_trace_table(a)].sum(-1),
+            k_b.ravel()[_trace_table(b)].sum(-1),
         ])
         c, sn, e = np.cos(x[:n]), np.sin(x[:n]), np.exp(1j * x[n:])
         lo, up = e * red[:, 1, 0], np.conj(e) * red[:, 0, 1]

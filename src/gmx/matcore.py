@@ -46,9 +46,20 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def _kron_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
+
+
 def kron_all(factors) -> np.ndarray:
-    """Left-to-right Kronecker product of a non-empty sequence of matrices."""
-    return reduce(np.kron, factors)
+    """Left-to-right Kronecker product of a sequence of matrices.
+
+    Each step is one broadcast product, entry for entry what ``np.kron``
+    computes but without its per-call overhead.  The empty product is the
+    1 x 1 identity.
+    """
+    return reduce(_kron_pair, factors) if len(factors) else np.eye(1, dtype=complex)
 
 
 def herm_eig(a: np.ndarray, tol: float = HERM_TOL) -> HermEig:

@@ -82,6 +82,12 @@ def test_make_state_families():
         make_state("ghz", 3, 0.5)
 
 
+@pytest.mark.parametrize("n", [1, 9, 16])
+def test_make_state_rejects_qubit_counts_outside_two_to_eight(n):
+    with pytest.raises(ValueError, match="2 to 8 qubits"):
+        make_state("ds", n, 0.5)
+
+
 def test_bench_timing_two_qubit_mixture():
     threshold = gm_lower_bound_x(make_state("ds", 2, 0.3))
     summary = bench_timing("ds", 2, 0.3, "x", reps=3, cfg=OptimConfig(restarts=1, seed=1),
@@ -237,6 +243,9 @@ def test_cli_verify_takes_no_optimizer_flags():
     ["sweep-dicke", "--n", "2", "--points", "0", "--out", "{csv}"],
     ["estimate", "--state", "{null_re}"],
     ["estimate", "--state", "{fractional_n}"],
+    ["bench", "--family", "ds", "--n", "16", "--param", "0.5", "--method", "x"],
+    ["bench", "--family", "dicke", "--n", "1", "--param", "1.0", "--method", "x"],
+    ["bench", "--family", "ds", "--n", "9", "--param", "0.5", "--method", "phi"],
 ])
 def test_cli_input_errors_end_like_argparse_errors(tmp_path, args):
     doc = to_json_dict(make_state("ds", 2, 0.3))

@@ -82,6 +82,13 @@ def test_conjugate_preserves_trace_and_spectrum():
         assert np.abs(a - b).max() < 1e-10
 
 
+def test_conjugate_single_qubit_equals_u_rho_u_dagger():
+    rho = random_density_matrix(1, 2, seed=12)
+    p = LUParams(1, np.array([0.7]), np.array([2.1]))
+    u = su2(0.7, 2.1)
+    assert np.abs(conjugate(rho, p).mat - u @ rho.mat @ u.conj().T).max() <= 1e-15
+
+
 def test_conjugate_dimension_mismatch():
     rho = random_density_matrix(2, 2, seed=4)
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,20 @@ def test_kron_all_order():
     rng = np.random.default_rng(3)
     a, b, c = (random_complex(rng, (2, 2)) for _ in range(3))
     assert np.abs(kron_all([a, b, c]) - kron(a, kron(b, c))).max() < 1e-14
+
+
+@pytest.mark.parametrize("count", range(1, 9))
+def test_kron_all_equals_np_kron_chain_bit_for_bit(count):
+    rng = np.random.default_rng([10, count])
+    factors = [random_complex(rng, (2, 2)) for _ in range(count)]
+    expected = reduce(np.kron, factors)
+    got = kron_all(factors)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_kron_all_empty_product_is_one_by_one_identity():
+    assert np.array_equal(kron_all([]), np.eye(1))
 
 
 def test_herm_eig_diagonal():
