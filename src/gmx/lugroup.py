@@ -12,6 +12,7 @@ reporting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .matcore import kron_all
 from .states import DensityMatrix, _wrap
-from .xform import off_x_mask, penalty_from_matrix
+from .xform import off_x_mask
 
 FD_STEP = 1e-6
 
@@ -78,9 +79,13 @@ def su2(theta: float, phi: float) -> np.ndarray:
 
 
 def _factors(x: np.ndarray, n: int) -> np.ndarray:
-    """(n, 2, 2) array of the per-qubit ``su2`` factors of packed angles."""
-    c, s, e = np.cos(x[:n]), np.sin(x[:n]), np.exp(1j * x[n:])
-    return np.stack([c, s * e, -s * np.conj(e), c], axis=-1).reshape(n, 2, 2)
+    """``(..., n, 2, 2)`` array of the per-qubit ``su2`` factors of packed angles ``(..., 2n)``."""
+    c, s, e = np.cos(x[..., :n]), np.sin(x[..., :n]), np.exp(1j * x[..., n:])
+    out = np.empty(c.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = c
+    out[..., 0, 1] = s * e
+    out[..., 1, 0] = -s * np.conj(e)
+    return out
 
 
 def assemble(p: LUParams) -> np.ndarray:
@@ -97,29 +102,50 @@ def _halves(n: int) -> tuple[int, int]:
 def apply_local(mat: np.ndarray, factors) -> np.ndarray:
     """U mat U^dag for U the Kronecker product of 2x2 ``factors``, qubit 1 leftmost.
 
-    U splits as U_A (x) U_B over the first ceil(N/2) qubits and the rest.
-    The rows take two matrix products, U_A on the leading index and U_B,
-    batched over U_A's rows, on the next; the columns go the same way
-    through the conjugate transpose, which beats contracting them in place.
+    ``factors`` is ``(N, 2, 2)``, or a stack ``(k, N, 2, 2)`` whose rows
+    give one product each, ``(k, D, D)`` out.
     """
-    dim = mat.shape[0]
-    a, _ = _halves(len(factors))
-    u_a, u_b = kron_all(factors[:a]), kron_all(factors[a:])
-    out = mat
-    for _ in range(2):
-        out = u_a @ out.reshape(u_a.shape[0], -1)
-        out = (u_b @ out.reshape(u_a.shape[0], u_b.shape[0], dim)).reshape(dim, dim)
-        out = out.conj().T
-    return np.ascontiguousarray(out)
+    factors = np.asarray(factors)
+    if factors.ndim not in (3, 4) or factors.shape[-2:] != (2, 2):
+        raise ValueError(f"factors must be (N, 2, 2) or (k, N, 2, 2), got shape {factors.shape}")
+    shape = factors.shape[:-3] + mat.shape
+    mat_h = np.conjugate(mat.T, out=np.empty_like(mat))
+    return _sandwich(mat_h, factors, np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
+
+
+def _sandwich(mat_h: np.ndarray, factors: np.ndarray, one: np.ndarray, two: np.ndarray) -> np.ndarray:
+    """``apply_local`` from ``mat_h = mat^dag``, written into ``one``; ``two`` is scratch.
+
+    U splits as U_A (x) U_B over the first ceil(N/2) qubits and the rest.
+    Applying U to the rows of a matrix takes two products, U_A on the
+    leading index and U_B, batched over U_A's rows, on the next.  That
+    gives U mat^dag, whose conjugate transpose is mat U^dag, and U applied
+    to its rows is U mat U^dag.  Every product is batched over the stack,
+    one matrix per row, and the two C-contiguous buffers ``one`` and
+    ``two``, shaped like the result, take turns holding the steps.
+    """
+    qubits = factors.swapaxes(0, -3)  # (N, k, 2, 2) for a stack
+    dim = mat_h.shape[0]
+    lead = qubits.shape[1:-2]
+    a, _ = _halves(len(qubits))
+    u_a, u_b = kron_all(qubits[:a]), kron_all(qubits[a:])[..., None, :, :]
+    da, db = u_a.shape[-1], u_b.shape[-1]
+    rows_a, rows_b = lead + (da, db * dim), lead + (da, db, dim)
+    np.matmul(u_a, mat_h.reshape(da, db * dim), out=one.reshape(rows_a))
+    np.matmul(u_b, one.reshape(rows_b), out=two.reshape(rows_b))
+    np.conjugate(two.swapaxes(-1, -2), out=one)
+    np.matmul(u_a, one.reshape(rows_a), out=two.reshape(rows_a))
+    np.matmul(u_b, two.reshape(rows_b), out=one.reshape(rows_b))
+    return one
 
 
 @lru_cache(maxsize=None)
 def _trace_table(m: int) -> np.ndarray:
     """Flat indices into a 2**m x 2**m matrix K whose sums are its qubit reductions.
 
-    ``K.ravel()[table].sum(-1)[j, b, c]`` is the sum of ``K[r, s]`` over the
+    ``K.ravel()[table].sum(0)[j, b, c]`` is the sum of ``K[r, s]`` over the
     index pairs in which qubit j reads b in ``r`` and c in ``s`` and every
-    other qubit agrees; shape ``(m, 2, 2, 2**(m-1))``.
+    other qubit agrees; shape ``(2**(m-1), m, 2, 2)``.
     """
     d = 2 ** m
     idx = np.arange(d).reshape((2,) * m)
@@ -127,6 +153,7 @@ def _trace_table(m: int) -> np.ndarray:
     for j in range(m):
         rows = np.moveaxis(idx, j, 0).reshape(2, -1)  # rows[b]: qubit j reads b
         table[j] = rows[:, None, :] * d + rows[None, :, :]
+    table = np.ascontiguousarray(np.moveaxis(table, -1, 0))
     table.flags.writeable = False
     return table
 
@@ -147,49 +174,96 @@ def make_penalty_problem(mat: np.ndarray, n_qubits: int):
     of ``sigma G``, ``G = mask o sigma``.  The N reductions come from two
     matrix products, the reductions of ``sigma G`` onto the halves of
     ``apply_local``'s split, and one index gather per half.  Both accept a
-    stack of points, shape ``(k, 2N)``, and loop over its rows.  The
-    problem keeps sigma for every point of its last value call, so a
-    gradient at any of those points reuses it.
+    point ``(2N,)`` or a stack ``(k, 2N)`` and work on the whole stack at
+    once; every step treats the rows alike and sums in a fixed order, so a
+    row's bits do not depend on the stack it sits in.  The problem keeps
+    sigma for every row of its last value call, and a gradient computes
+    sigma only for the rows it cannot find there.  Sigma and the
+    stack-sized work arrays live in three buffers that the problem keeps
+    and grows to the largest stack it has seen: at N >= 7, fresh arrays of
+    that size on every call made stacks slower than a loop over their rows
+    (page faults).
     """
     n = n_qubits
+    dim = mat.shape[0]
     a, b = _halves(n)
     da, db = 2 ** a, 2 ** b
-    mask = off_x_mask(mat.shape[0])
-    cache: dict[bytes, np.ndarray] = {}
+    mat_h = np.conjugate(mat.T, out=np.empty_like(mat))
+    mask = off_x_mask(dim)
+    upper = np.flatnonzero(np.triu(mask))  # the strict upper triangle off the X
+    table_a, table_b = _trace_table(a), _trace_table(b)
+    width = 16 * n  # bytes of one row of float64 angles
+    buffers = [np.empty((0, dim, dim), dtype=complex)] * 3  # sigma, work, gc
+    spaces: dict[tuple, tuple] = {}  # stack shape -> views of the buffers and of `off` in work
+    kept_key, kept_sigma = b"", buffers[0]  # the last value call's points and their sigmas
 
-    def sigma(x: np.ndarray) -> np.ndarray:
-        s = cache.get(x.tobytes())
-        return apply_local(mat, _factors(x, n)) if s is None else s
+    def space(lead: tuple) -> tuple:
+        views = spaces.get(lead)
+        if views is None:
+            count = math.prod(lead)
+            if len(buffers[0]) < count:
+                buffers[:] = [np.empty((count, dim, dim), dtype=complex) for _ in range(3)]
+                spaces.clear()
+            sig, work, gc = (buf[:count].reshape(lead + (dim, dim)) for buf in buffers)
+            off = work.reshape(-1)[:count * upper.size].reshape(lead + upper.shape)
+            views = spaces[lead] = sig, work, gc, off
+        return views
+
+    def points(x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != 2 * n:
+            raise ValueError(f"expected a point ({2 * n},) or a stack (k, {2 * n}), got shape {x.shape}")
+        return x
 
     def fun(x: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        rows = x.reshape(-1, 2 * n)
-        sigmas = {r.tobytes(): sigma(r) for r in rows}
-        cache.clear()
-        cache.update(sigmas)
-        values = [penalty_from_matrix(sigmas[r.tobytes()]) for r in rows]
-        return values[0] if x.ndim == 1 else np.array(values)
+        nonlocal kept_key, kept_sigma
+        x = points(x)
+        lead = x.shape[:-1]
+        sig, work, _, off = space(lead)
+        kept_key = b""  # sig is rewritten below
+        s = _sandwich(mat_h, _factors(x, n), sig, work)
+        kept_key, kept_sigma = x.tobytes(), s
+        np.take(s.reshape(lead + (-1,)), upper, axis=-1, out=off, mode="clip")  # "raise" would buffer out
+        values = np.square(off.view(float), out=off.view(float)).sum(-1)
+        return float(values) if x.ndim == 1 else values
+
+    def sigma(x: np.ndarray, lead: tuple) -> np.ndarray:
+        key = x.tobytes()
+        if key == kept_key:
+            return kept_sigma.reshape(lead + (dim, dim))
+        index = {kept_key[i:i + width]: j for j, i in enumerate(range(0, len(kept_key), width))}
+        pos = [index.get(key[i:i + width], -1) for i in range(0, len(key), width)]
+        miss = [i for i, p in enumerate(pos) if p < 0]
+        s = space((len(pos),))[1]
+        if miss:
+            factors = _factors(x.reshape(-1, 2 * n)[miss], n)
+            new = _sandwich(mat_h, factors, space((len(miss),))[2], s[:len(miss)])
+        if len(miss) < len(pos):  # a miss reads row 0 here, then gets its own
+            np.take(kept_sigma.reshape(-1, dim, dim), pos, axis=0, out=s, mode="clip")
+        if miss:
+            s[miss] = new
+        return s.reshape(lead + (dim, dim))
 
     def grad(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 1:
-            return np.array([grad(r) for r in x])
-        s = sigma(x)
-        gc = mask * s.conj()
-        # red[j, b, a] = sum over the other qubits of (sigma G)[(..b..), (..a..)],
+        x = points(x)
+        lead = x.shape[:-1]
+        s = sigma(x, lead)
+        gc = np.conjugate(s, out=space(lead)[2])
+        gc *= mask
+        # red[..., j, b, a] = sum over the other qubits of (sigma G)[(..b..), (..a..)],
         # gathered from k_a = tr_B(sigma G) and k_b = tr_A(sigma G).
-        k_a = s.reshape(da, -1) @ gc.reshape(da, -1).T
-        k_b = (s.reshape(da, db, -1) @ gc.reshape(da, db, -1).transpose(0, 2, 1)).sum(0)
+        k_a = s.reshape(lead + (da, -1)) @ gc.reshape(lead + (da, -1)).swapaxes(-1, -2)
+        k_b = (s.reshape(lead + (da, db, dim)) @ gc.reshape(lead + (da, db, dim)).swapaxes(-1, -2)).sum(-3)
         red = np.concatenate([
-            k_a.ravel()[_trace_table(a)].sum(-1),
-            k_b.ravel()[_trace_table(b)].sum(-1),
-        ])
-        c, sn, e = np.cos(x[:n]), np.sin(x[:n]), np.exp(1j * x[n:])
-        lo, up = e * red[:, 1, 0], np.conj(e) * red[:, 0, 1]
+            np.take(k_a.reshape(lead + (-1,)), table_a, axis=-1).sum(-4),
+            np.take(k_b.reshape(lead + (-1,)), table_b, axis=-1).sum(-4),
+        ], axis=-3)
+        c, sn, e = np.cos(x[..., :n]), np.sin(x[..., :n]), np.exp(1j * x[..., n:])
+        lo, up = e * red[..., 1, 0], np.conj(e) * red[..., 0, 1]
         # B_theta = [[0, e], [-e*, 0]];  B_phi = i sin [[sin, cos e], [cos e*, -sin]]
         dth = lo - up
-        dph = 1j * sn * (sn * (red[:, 0, 0] - red[:, 1, 1]) + c * (lo + up))
-        return 2.0 * np.concatenate([dth, dph]).real
+        dph = 1j * sn * (sn * (red[..., 0, 0] - red[..., 1, 1]) + c * (lo + up))
+        return 2.0 * np.concatenate([dth, dph], axis=-1).real
 
     return fun, grad
 

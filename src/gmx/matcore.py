@@ -47,17 +47,18 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kron_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    )
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def kron_all(factors) -> np.ndarray:
     """Left-to-right Kronecker product of a sequence of matrices.
 
-    Each step is one broadcast product, entry for entry what ``np.kron``
-    computes but without its per-call overhead.  The empty product is the
-    1 x 1 identity.
+    Each factor may also be a stack ``(..., r, c)`` of matrices; the
+    products then come out as a stack too, one per entry, broadcast over
+    the leading axes.  Each step is one broadcast product, entry for entry
+    what ``np.kron`` computes but without its per-call overhead.  The empty
+    product is the 1 x 1 identity.
     """
     return reduce(_kron_pair, factors) if len(factors) else np.eye(1, dtype=complex)
 

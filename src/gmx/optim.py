@@ -222,8 +222,9 @@ def _lockstep(fun, grad, runs: list, t0: float) -> list[OptimResult]:
     requests, so a gradient at a point of the previous value call finds it
     in that call's cache (``lugroup.make_penalty_problem``).  A kind asked
     by several runs goes to one call on their stacked points, shape
-    ``(k, p)``; a kind asked by one run, to a call on its single point.
-    A run's ``wall_time`` runs from ``t0`` to its end.
+    ``(k, p)``, which the penalty and phi kernels evaluate in one batched
+    pass; a kind asked by one run, to a call on its single point.  A run's
+    ``wall_time`` runs from ``t0`` to its end.
     """
     results: list = [None] * len(runs)
     rows = {"f": [0] * len(runs), "g": [0] * len(runs)}

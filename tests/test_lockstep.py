@@ -109,6 +109,37 @@ def test_stacked_penalty_rows_equal_single_points(n):
         assert np.array_equal(grads[i], fresh_grad(x))
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_penalty_rows_do_not_depend_on_their_stack(n):
+    rng = np.random.default_rng([70, n])
+    rho = random_density_matrix(n, 3, seed=70 + n)
+    x = rng.uniform(0.0, 2 * np.pi, 2 * n)
+    fun, grad = make_penalty_problem(rho.mat, n)
+    value, gradient = fun(x), grad(x)
+    for k in (1, 2, 3, 6):
+        for pos in range(k):
+            xs = rng.uniform(0.0, 2 * np.pi, (k, 2 * n))
+            xs[pos] = x
+            fun, grad = make_penalty_problem(rho.mat, n)
+            assert fun(xs)[pos] == value
+            assert np.array_equal(grad(xs)[pos], gradient)  # sigma kept by the value call
+            assert np.array_equal(make_penalty_problem(rho.mat, n)[1](xs)[pos], gradient)  # sigma built by grad
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gradient_stack_mixing_kept_and_new_sigmas_equals_fresh_rows(n):
+    rng = np.random.default_rng([80, n])
+    rho = random_density_matrix(n, 3, seed=80 + n)
+    xs = rng.uniform(0.0, 2 * np.pi, (6, 2 * n))
+    fun, grad = make_penalty_problem(rho.mat, n)
+    fun(xs[[4, 0, 2]])  # rows 0, 2 and 4 keep their sigma, in another order
+    grads = grad(xs)
+    fresh_fun, fresh_grad = make_penalty_problem(rho.mat, n)
+    for g, x in zip(grads, xs):
+        assert np.array_equal(g, fresh_grad(x))
+    assert np.array_equal(grad(xs[[2, 4]]), grads[[2, 4]])  # the value call's sigmas are still kept
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_stacked_phi_rows_equal_single_points(n):
     rng = np.random.default_rng(60 + n)

@@ -3,6 +3,7 @@ import pytest
 
 from gmx.lugroup import (
     LUParams,
+    _factors,
     apply_local,
     assemble,
     canonicalize,
@@ -151,6 +152,43 @@ def test_apply_local_matches_dense_conjugation(n):
     factors = [su2(t, f) for t, f in zip(p.thetas, p.phis)]
     assert np.abs(apply_local(rho.mat, factors) - dense).max() <= 1e-14
     assert np.abs(conjugate(rho, p).mat - dense).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_apply_local_on_a_stack_matches_dense_conjugation_row_by_row(n):
+    rng = np.random.default_rng([17, n])
+    rho = random_density_matrix(n, min(4, 2 ** n), seed=n)
+    points = [random_point(rng, n) for _ in range(3)]
+    stack = np.array([[su2(t, f) for t, f in zip(p.thetas, p.phis)] for p in points])
+    got = apply_local(rho.mat, stack)
+    assert got.shape == (3, 2 ** n, 2 ** n)
+    for row, p in zip(got, points):
+        u = assemble(p)
+        assert np.abs(row - u @ rho.mat @ u.conj().T).max() <= 1e-14
+
+
+def test_kernels_reject_shapes_they_do_not_take():
+    rho = random_density_matrix(3, 2, seed=4)
+    fun, grad = make_penalty_problem(rho.mat, 3)
+    for bad in (np.zeros((2, 2, 6)), np.zeros(5), np.zeros((4, 8))):
+        with pytest.raises(ValueError, match="point"):
+            fun(bad)
+        with pytest.raises(ValueError, match="point"):
+            grad(bad)
+    with pytest.raises(ValueError, match="factors"):
+        apply_local(rho.mat, np.zeros((2, 2, 3, 2, 2)))
+
+
+def test_factors_match_the_per_qubit_formula_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        x = rng.uniform(-10.0, 10.0, 2 * n)
+        c, s, e = np.cos(x[:n]), np.sin(x[:n]), np.exp(1j * x[n:])
+        expected = np.stack([c, s * e, -s * np.conj(e), c], axis=-1).reshape(n, 2, 2)
+        assert _factors(x, n).tobytes() == expected.tobytes()
+    xs = rng.uniform(-10.0, 10.0, (4, 6))
+    assert all(row.tobytes() == _factors(x, 3).tobytes() for row, x in zip(_factors(xs, 3), xs))
 
 
 @pytest.mark.parametrize("n", range(2, 9))

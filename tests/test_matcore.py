@@ -62,6 +62,17 @@ def test_kron_all_equals_np_kron_chain_bit_for_bit(count):
 
 def test_kron_all_empty_product_is_one_by_one_identity():
     assert np.array_equal(kron_all([]), np.eye(1))
+    assert np.array_equal(kron_all(np.empty((0, 3, 2, 2))), np.eye(1))
+
+
+@pytest.mark.parametrize("count", range(1, 9))
+def test_kron_all_of_stacked_factors_equals_each_np_kron_chain_bit_for_bit(count):
+    rng = np.random.default_rng([11, count])
+    stack = random_complex(rng, (5, count, 2, 2))  # five sequences of `count` factors
+    got = kron_all(stack.swapaxes(0, 1))  # factor j of every sequence at once
+    assert got.shape == (5, 2 ** count, 2 ** count)
+    for product, factors in zip(got, stack):
+        assert product.tobytes() == reduce(np.kron, factors).tobytes()
 
 
 def test_herm_eig_diagonal():
