@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import subprocess
 import time
 from dataclasses import dataclass
@@ -65,6 +66,8 @@ class TimingSummary:
 
 
 def make_state(family: str, n: int, parameter: float) -> DensityMatrix:
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"the qubit count must be an integer, got {n!r}")
     if not 2 <= n <= 8:
         raise ValueError(f"states cover 2 to 8 qubits, got {n}")
     if family == "ds":
@@ -159,9 +162,9 @@ def bench_timing(
     that exceeds ``budget`` seconds is cut off and flags the summary as
     incomplete.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    if cfg.restarts < 1:
+    if not isinstance(reps, numbers.Integral) or reps < 1:
+        raise ValueError(f"reps must be an integer >= 1, got {reps!r}")
+    if cfg.validate().restarts < 1:
         raise ValueError("bench_timing needs restarts >= 1: its attempts have no warm starts")
     if budget is not None and not 0.0 < budget < np.inf:
         raise ValueError(f"budget must be a positive finite number of seconds, got {budget!r}")

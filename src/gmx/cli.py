@@ -45,7 +45,6 @@ def _config(args) -> OptimConfig:
     return OptimConfig(
         tol_x=tol,
         tol_fun=tol,
-        max_iters=10_000,
         restarts=args.restarts,
         seed=args.seed,
     ).validate()

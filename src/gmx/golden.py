@@ -160,13 +160,6 @@ def dicke_reference(n: int, g: float) -> np.ndarray:
             [c82, -e3, c84, e4, c84, e4, d3],
             [f2, f3, f3, f4, f3, f4, f4, d4],
         ]
-        m = np.zeros((16, 16), dtype=complex)
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                m[r, c] = v
-        for r, row in enumerate(tail):
-            for c, v in enumerate(row):
-                m[8 + r, 8 + c] = v
-        m = np.tril(m) + np.tril(m, -1).conj().T
-        return m / dicke_norm_closed(4, g)
+        rows[8:] = [row + more for row, more in zip(rows[8:], tail)]
+        return _from_lower(rows, 16) / dicke_norm_closed(4, g)
     raise ValueError("reference matrices exist for n in {2, 3, 4}")

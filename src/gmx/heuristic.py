@@ -19,7 +19,7 @@ from .lugroup import (
     angle_sampler,
     canonicalize,
     conjugate,
-    grad_penalty_fd,
+    fd_gradient,
     make_penalty_problem,
     params_to_vector,
     vector_to_params,
@@ -91,15 +91,11 @@ def stationary_check(rho: DensityMatrix, p: LUParams) -> StationaryReport:
     roundoff).  ``hessian_psd`` is true when the smallest Hessian
     eigenvalue is above -1e-6.
     """
-    _, grad = make_penalty_problem(rho.mat, rho.n_qubits)
+    fun, grad = make_penalty_problem(rho.mat, rho.n_qubits)
     x = params_to_vector(p)
-    gnorm = float(np.linalg.norm(grad_penalty_fd(rho, p)))
-
-    # Column j of the Hessian from the gradients at x +- step e_j, all 2m
-    # shifted points in one stacked call.
-    shifts = HESSIAN_STEP * np.eye(x.size)
-    grads = grad(np.concatenate([x + shifts, x - shifts]))
-    hess = ((grads[: x.size] - grads[x.size:]) / (2.0 * HESSIAN_STEP)).T
+    gnorm = float(np.linalg.norm(fd_gradient(fun, x)))
+    # Row j of the quotient is the derivative of the gradient along x_j.
+    hess = fd_gradient(grad, x, HESSIAN_STEP).T
     hess = 0.5 * (hess + hess.T)
     min_eig = float(np.linalg.eigvalsh(hess).min())
     return StationaryReport(grad_norm=gnorm, hessian_min_eig=min_eig, hessian_psd=min_eig >= -1e-6)

@@ -177,8 +177,9 @@ def make_penalty_problem(mat: np.ndarray, n_qubits: int):
     point ``(2N,)`` or a stack ``(k, 2N)`` and work on the whole stack at
     once; every step treats the rows alike and sums in a fixed order, so a
     row's bits do not depend on the stack it sits in.  The problem keeps
-    sigma for every row of its last value call, and a gradient computes
-    sigma only for the rows it cannot find there.  Sigma and the
+    sigma for every row of its last value call.  A gradient gathers its
+    rows from there; if any is missing (only direct callers send such
+    stacks), ``apply_local`` builds every row's sigma.  Sigma and the
     stack-sized work arrays live in three buffers that the problem keeps
     and grows to the largest stack it has seen: at N >= 7, fresh arrays of
     that size on every call made stacks slower than a loop over their rows
@@ -233,15 +234,10 @@ def make_penalty_problem(mat: np.ndarray, n_qubits: int):
             return kept_sigma.reshape(lead + (dim, dim))
         index = {kept_key[i:i + width]: j for j, i in enumerate(range(0, len(kept_key), width))}
         pos = [index.get(key[i:i + width], -1) for i in range(0, len(key), width)]
-        miss = [i for i, p in enumerate(pos) if p < 0]
+        if -1 in pos:  # only direct callers send points the value call did not see
+            return apply_local(mat, _factors(x, n))
         s = space((len(pos),))[1]
-        if miss:
-            factors = _factors(x.reshape(-1, 2 * n)[miss], n)
-            new = _sandwich(mat_h, factors, space((len(miss),))[2], s[:len(miss)])
-        if len(miss) < len(pos):  # a miss reads row 0 here, then gets its own
-            np.take(kept_sigma.reshape(-1, dim, dim), pos, axis=0, out=s, mode="clip")
-        if miss:
-            s[miss] = new
+        np.take(kept_sigma.reshape(-1, dim, dim), pos, axis=0, out=s, mode="clip")
         return s.reshape(lead + (dim, dim))
 
     def grad(x: np.ndarray) -> np.ndarray:
@@ -283,8 +279,8 @@ def grad_penalty_fd(rho: DensityMatrix, p: LUParams, h: float = FD_STEP) -> np.n
 def fd_gradient(fun, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """Central finite differences of ``fun`` at ``x``.
 
-    ``fun`` takes a stack of points, shape ``(k, p)``, and returns one value
-    per row; all 2p shifted points go to it in one call.
+    ``fun`` takes a stack ``(k, p)`` and returns one value or one vector per
+    row; all 2p shifted points go to it in one call.  Row j is d/dx_j.
     """
     x = np.asarray(x, dtype=float)
     shifts = h * np.eye(x.size)

@@ -17,6 +17,7 @@ requests of one kind from several runs with one stacked call on a
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -38,6 +39,9 @@ class OptimConfig:
     seed: int = 0
 
     def validate(self) -> "OptimConfig":
+        for name in ("max_iters", "restarts", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not all(math.isfinite(t) and t > 0 for t in (self.tol_x, self.tol_fun)):
             raise ValueError(f"tolerances must be finite and positive, got {self.tol_x!r}, {self.tol_fun!r}")
         if self.restarts < 0:

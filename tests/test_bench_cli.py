@@ -88,6 +88,20 @@ def test_make_state_rejects_qubit_counts_outside_two_to_eight(n):
         make_state("ds", n, 0.5)
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda: make_state("ds", 3.5, 0.5), "qubit count"),
+    (lambda: sweep("ds", 3.0, [0.5], CFG), "qubit count"),
+    (lambda: bench_timing("ds", 2, 0.3, "x", reps=1.5, cfg=OptimConfig(restarts=1, seed=1)), "reps"),
+    (lambda: bench_timing("ds", 2, 0.3, "x", reps=1, cfg=OptimConfig(restarts=1, seed=0.5), threshold=0.5),
+     "seed"),
+], ids=["make_state", "sweep", "bench_timing", "bench_timing-seed"])
+def test_non_integral_counts_fail_at_the_boundary(monkeypatch, call, name):
+    monkeypatch.setattr("gmx.bench.x_heuristic", lambda *a, **k: pytest.fail("an estimate ran"))
+    monkeypatch.setattr("gmx.bench._run_attempt", lambda *a, **k: pytest.fail("an attempt ran"))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call()
+
+
 def test_bench_timing_two_qubit_mixture():
     threshold = gm_lower_bound_x(make_state("ds", 2, 0.3))
     summary = bench_timing("ds", 2, 0.3, "x", reps=3, cfg=OptimConfig(restarts=1, seed=1),

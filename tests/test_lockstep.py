@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gmx import lugroup
 from gmx.heuristic import warm_starts
 from gmx.lugroup import angle_sampler, fd_gradient, make_penalty_problem
 from gmx.optim import OptimConfig, bfgs_minimize, multi_start
@@ -138,6 +139,33 @@ def test_gradient_stack_mixing_kept_and_new_sigmas_equals_fresh_rows(n):
     for g, x in zip(grads, xs):
         assert np.array_equal(g, fresh_grad(x))
     assert np.array_equal(grad(xs[[2, 4]]), grads[[2, 4]])  # the value call's sigmas are still kept
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_optimizer_gradients_reuse_the_value_calls_sigma(monkeypatch, n):
+    # Every gradient the optimizers ask for sits among the points of the last
+    # value call, so sigma is built once per value call and never by grad.
+    calls = {"fun": 0, "_sandwich": 0, "apply_local": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for name in ("_sandwich", "apply_local"):
+        monkeypatch.setattr(lugroup, name, counted(name, getattr(lugroup, name)))
+    rho = random_density_matrix(n, 3, seed=90 + n)
+    runs = [
+        lambda f, g: multi_start(f, g, angle_sampler(n), OptimConfig(restarts=4, seed=n), starts=warm_starts(n)),
+        lambda f, g: bfgs_minimize(f, g, warm_starts(n)[1] + 0.1, OptimConfig()),
+    ]
+    for run in runs:
+        calls.update(dict.fromkeys(calls, 0))
+        fun, grad = make_penalty_problem(rho.mat, n)
+        run(counted("fun", fun), grad)
+        assert calls["fun"] > 2
+        assert calls == {"fun": calls["fun"], "_sandwich": calls["fun"], "apply_local": 0}
 
 
 @pytest.mark.parametrize("n", range(2, 6))

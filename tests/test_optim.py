@@ -165,3 +165,8 @@ def test_config_validation():
                 {"tol_fun": float("nan")}):
         with pytest.raises(ValueError):
             OptimConfig(**bad).validate()
+    # Counts that are not integers would fail later, inside range() or numpy's seeding.
+    for name, bad in (("max_iters", 2.5), ("restarts", 1.5), ("seed", 0.5), ("restarts", 2.0)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            OptimConfig(**{name: bad}).validate()
+    OptimConfig(max_iters=np.int64(5), restarts=np.int32(1), seed=np.uint8(3)).validate()
