@@ -91,7 +91,7 @@ def _cmd_estimate(args, cfg) -> int:
         res = x_heuristic(rho, cfg) if phi is None else phi.x
         out["x_heuristic"] = {"estimate": res.estimate, "f_min": res.f_min, **_optim_fields(res.optim)}
     if phi is not None:
-        out["phi_scheme"] = {"estimate": phi.estimate, **_optim_fields(phi.optim)}
+        out["phi_scheme"] = {"estimate": phi.estimate, "kink_rows": phi.kink_rows, **_optim_fields(phi.optim)}
     json.dump(out, sys.stdout, indent=2)
     print()
     return 0

@@ -193,7 +193,6 @@ def make_penalty_problem(mat: np.ndarray, n_qubits: int):
     mask = off_x_mask(dim)
     upper = np.flatnonzero(np.triu(mask))  # the strict upper triangle off the X
     table_a, table_b = _trace_table(a), _trace_table(b)
-    width = 16 * n  # bytes of one row of float64 angles
     buffers = [np.empty((0, dim, dim), dtype=complex)] * 3  # sigma, work, gc
     spaces: dict[tuple, tuple] = {}  # stack shape -> views of the buffers and of `off` in work
     kept_key, kept_sigma = b"", buffers[0]  # the last value call's points and their sigmas
@@ -229,16 +228,10 @@ def make_penalty_problem(mat: np.ndarray, n_qubits: int):
         return float(values) if x.ndim == 1 else values
 
     def sigma(x: np.ndarray, lead: tuple) -> np.ndarray:
-        key = x.tobytes()
-        if key == kept_key:
-            return kept_sigma.reshape(lead + (dim, dim))
-        index = {kept_key[i:i + width]: j for j, i in enumerate(range(0, len(kept_key), width))}
-        pos = [index.get(key[i:i + width], -1) for i in range(0, len(key), width)]
-        if -1 in pos:  # only direct callers send points the value call did not see
+        pos = kept_rows(kept_key, x.tobytes(), 16 * n)  # a row of 2n float64 angles has 16n bytes
+        if pos is None:  # only direct callers send points the value call did not see
             return apply_local(mat, _factors(x, n))
-        s = space((len(pos),))[1]
-        np.take(kept_sigma.reshape(-1, dim, dim), pos, axis=0, out=s, mode="clip")
-        return s.reshape(lead + (dim, dim))
+        return kept_sigma.reshape(-1, dim, dim)[pos].reshape(lead + (dim, dim))
 
     def grad(x: np.ndarray) -> np.ndarray:
         x = points(x)
@@ -274,6 +267,15 @@ def grad_penalty_fd(rho: DensityMatrix, p: LUParams, h: float = FD_STEP) -> np.n
     """Central finite-difference gradient of the penalty objective."""
     fun, _ = make_penalty_problem(rho.mat, rho.n_qubits)
     return fd_gradient(fun, params_to_vector(p), h)
+
+
+def kept_rows(kept: bytes, key: bytes, width: int):
+    """Positions of the ``width``-byte rows of ``key`` in ``kept`` (a slice if all); None if one is missing."""
+    if key == kept:
+        return slice(None)
+    index = {kept[i:i + width]: j for j, i in enumerate(range(0, len(kept), width))}
+    pos = [index.get(key[i:i + width], -1) for i in range(0, len(key), width)]
+    return None if -1 in pos else pos
 
 
 def fd_gradient(fun, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:

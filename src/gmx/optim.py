@@ -4,14 +4,10 @@
 search (c1 = 1e-4, c2 = 0.9).  It terminates when the accepted step norm
 drops below ``tol_x``, the objective decrease drops below ``tol_fun``, or
 the iteration cap is reached; a failed line search returns the best point
-found with ``converged = False`` instead of raising.
-
-A run is a generator that yields ``("f", x)`` / ``("g", x)`` requests and
-is sent the answers.  ``bfgs_minimize`` drives one run; ``multi_start``
-drives runs from caller-supplied starts plus ``restarts`` points sampled
-from independent ``(seed, index)`` substreams in lockstep, answering the
-requests of one kind from several runs with one stacked call on a
-``(k, p)`` array.  Each run does exactly the arithmetic it would alone.
+found with ``converged = False`` instead of raising.  ``multi_start`` runs
+it from caller-supplied starts plus ``restarts`` points sampled from
+independent ``(seed, index)`` substreams as one stack of runs (``_Runs``);
+``bfgs_minimize`` is the stack of one.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -66,11 +62,7 @@ class OptimResult:
     line_search: str  # how the last line search ended: "ok", "flat", "fail", or "none" if none ran
 
 
-class _LineSearchResult(NamedTuple):
-    status: str  # "ok" | "flat" | "fail"
-    alpha: float = 0.0
-    f: float = np.inf
-    g: np.ndarray | None = None
+_VALUE, _GRAD, _OK, _END, _DONE = range(5)  # a run's wants, its line search's verdicts, its end
 
 
 def _interp_step(lo, f_lo, g_lo, hi, f_hi):
@@ -78,7 +70,7 @@ def _interp_step(lo, f_lo, g_lo, hi, f_hi):
     # (hi, f_hi); falls back to bisection when degenerate or outside a
     # safeguard band of the bracket.
     denom = 2.0 * (f_hi - f_lo - g_lo * (hi - lo))
-    if denom == 0.0 or not np.isfinite(denom):
+    if denom == 0.0 or not math.isfinite(denom):
         return 0.5 * (lo + hi)
     cand = lo - g_lo * (hi - lo) ** 2 / denom
     a, b = (lo, hi) if lo < hi else (hi, lo)
@@ -88,173 +80,167 @@ def _interp_step(lo, f_lo, g_lo, hi, f_hi):
     return cand
 
 
-def _strong_wolfe(x, d, f0, g0d, tol_fun):
-    """Strong-Wolfe search along d from x; g0d = grad(x) . d < 0.
+class _Run:
+    """One run's scalars, and its strong-Wolfe search along a direction of slope ``g0d``.
 
-    A generator: it yields ``("f", point)`` and ``("g", point)`` requests,
-    is sent each answer and returns a ``_LineSearchResult``.  On failure
-    the result carries the best point evaluated during the search, so the
-    caller can still report "best found".
+    ``want`` holds what the run waits for at the trial step ``a``.  While the bracket grows, ``lo``
+    is the previous step; once it zooms, [lo, hi] brackets a Wolfe step, ``lo`` with the lower
+    value.  ``count`` counts the tries of a stage; ``dev`` is the largest |f(a) - f| seen.
     """
-    evals_dev = 0.0  # largest |f - f0| observed, used to classify flat failures
-    best_a, best_f = 0.0, f0
 
-    # Requests are yielded inline: a sub-generator per evaluation costs more than the driver.
-    def seen(alpha, fa):
-        nonlocal evals_dev, best_a, best_f
-        evals_dev = max(evals_dev, abs(fa - f0))
-        if fa < best_f:
-            best_a, best_f = alpha, fa
+    def __init__(self):
+        self.rows, self.iters, self.first, self.status, self.converged = [0, 0], 1, True, "none", False
 
-    def slope(g):
-        g = np.asarray(g)
-        return g, float(g @ d)
+    def search(self, g0d: float) -> None:
+        self.g0d, self.a, self.lo, self.f_lo, self.g_lo = g0d, 1.0, 0.0, self.f, g0d
+        self.want, self.zoom, self.count = _VALUE, False, 0
+        self.dev, self.best_a, self.best_f = 0.0, 0.0, self.f
 
-    def failure():
-        status = "flat" if evals_dev < tol_fun else "fail"
-        return _LineSearchResult(status, best_a, best_f)
+    def took_value(self, fa: float) -> None:
+        self.dev = max(self.dev, abs(fa - self.f))
+        if fa < self.best_f:
+            self.best_a, self.best_f = self.a, fa
+        if fa > self.f + WOLFE_C1 * self.a * self.g0d or ((self.zoom or self.count > 0) and fa >= self.f_lo):
+            self.hi, self.f_hi = self.a, fa
+            self.zoom_step()
+        else:
+            self.fa, self.want = fa, _GRAD
 
-    def zoom(a_lo, f_lo, g_lo, a_hi, f_hi):
-        for _ in range(_MAX_ZOOM):
-            if abs(a_hi - a_lo) < 1e-18 * max(1.0, abs(a_lo)):
-                break
-            a = _interp_step(a_lo, f_lo, g_lo, a_hi, f_hi)
-            fa = yield "f", x + a * d
-            seen(a, fa)
-            if fa > f0 + WOLFE_C1 * a * g0d or fa >= f_lo:
-                a_hi, f_hi = a, fa
-                continue
-            ga_vec, ga = slope((yield "g", x + a * d))
-            if abs(ga) <= -WOLFE_C2 * g0d:
-                return _LineSearchResult("ok", a, fa, ga_vec)
-            if ga * (a_hi - a_lo) >= 0:
-                a_hi, f_hi = a_lo, f_lo
-            a_lo, f_lo, g_lo = a, fa, ga
-        return failure()
+    def took_slope(self, ga: float) -> None:
+        if abs(ga) <= -WOLFE_C2 * self.g0d:
+            self.want = _OK
+            return
+        swap = ga * (self.hi - self.lo) >= 0 if self.zoom else ga >= 0
+        if swap:
+            self.hi, self.f_hi = self.lo, self.f_lo
+        self.lo, self.f_lo, self.g_lo = self.a, self.fa, ga
+        if self.zoom or swap:
+            self.zoom_step()
+        else:
+            self.count, self.a = self.count + 1, 2.0 * self.a
+            self.want = _END if self.count == _MAX_BRACKET else _VALUE
 
-    a_prev, f_prev, g_prev = 0.0, f0, g0d
-    a = 1.0
-    for i in range(_MAX_BRACKET):
-        fa = yield "f", x + a * d
-        seen(a, fa)
-        if fa > f0 + WOLFE_C1 * a * g0d or (i > 0 and fa >= f_prev):
-            return (yield from zoom(a_prev, f_prev, g_prev, a, fa))
-        ga_vec, ga = slope((yield "g", x + a * d))
-        if abs(ga) <= -WOLFE_C2 * g0d:
-            return _LineSearchResult("ok", a, fa, ga_vec)
-        if ga >= 0:
-            return (yield from zoom(a, fa, ga, a_prev, f_prev))
-        a_prev, f_prev, g_prev = a, fa, ga
-        a *= 2.0
-    return failure()
+    def zoom_step(self) -> None:
+        self.zoom, self.count = True, self.count + 1 if self.zoom else 0
+        if self.count == _MAX_ZOOM or abs(self.hi - self.lo) < 1e-18 * max(1.0, abs(self.lo)):
+            self.want = _END
+        else:
+            self.a, self.want = _interp_step(self.lo, self.f_lo, self.g_lo, self.hi, self.f_hi), _VALUE
 
 
-def _bfgs(x0, cfg: OptimConfig, history: list | None = None):
-    """One BFGS run from ``x0``, a generator of requests like ``_strong_wolfe``;
-    returns the ``OptimResult`` fields that the driver does not fill in."""
-    x = np.array(x0, dtype=float)
-    fx = float((yield "f", x))
-    if not np.isfinite(fx):
-        raise ValueError("objective not finite at the starting point")
-    g = np.asarray((yield "g", x), dtype=float)
-    if history is not None:
-        history.append(fx)
-
-    n = x.size
-    eye = np.eye(n)
-    h_inv = eye.copy()
-    iterations = 0
-    converged = False
-    first_step = True
-    status = "none"
-
-    for iterations in range(1, cfg.max_iters + 1):
-        d = -(h_inv @ g)
-        gd = float(g @ d)
-        if gd >= 0.0:
-            # Corrupted curvature (possible on nonsmooth objectives): fall
-            # back to steepest descent.
-            h_inv = eye.copy()
-            d = -g
-            gd = -float(g @ g)
-            if gd == 0.0:
-                converged = True  # exactly stationary; step norm is 0 < tol_x
-                break
-        ls = yield from _strong_wolfe(x, d, fx, gd, cfg.tol_fun)
-        status = ls.status
-        if ls.status != "ok":
-            if ls.status == "fail" and np.isfinite(ls.f) and ls.f < fx:
-                x = x + ls.alpha * d
-                fx = float(ls.f)
-                if history is not None:
-                    history.append(fx)
-            converged = ls.status == "flat"
-            break
-        s = ls.alpha * d
-        y = ls.g - g
-        step_norm = float(np.linalg.norm(s))
-        decrease = fx - ls.f
-
-        if first_step:
-            yy = float(y @ y)
-            if yy > 0.0:
-                h_inv *= float(s @ y) / yy
-            first_step = False
-        sy = float(s @ y)
-        if sy > 1e-14 * step_norm * np.linalg.norm(y):
-            rho = 1.0 / sy
-            hy = h_inv @ y
-            h_inv += (rho ** 2 * float(y @ hy) + rho) * np.outer(s, s)
-            h_inv -= rho * (np.outer(hy, s) + np.outer(s, hy))
-
-        x = x + s
-        fx = float(ls.f)
-        g = np.asarray(ls.g, dtype=float)
-        if history is not None:
-            history.append(fx)
-        if step_norm < cfg.tol_x or decrease < cfg.tol_fun:
-            converged = True
-            break
-
-    return dict(best_value=fx, best_point=x, iterations=iterations, converged=converged, line_search=status)
-
-
-def _lockstep(fun, grad, runs: list, t0: float) -> list[OptimResult]:
-    """Drive the ``_bfgs`` generators ``runs`` to their ends; results in run order.
-
-    Each round answers all pending gradient requests, then all value
-    requests, so a gradient at a point of the previous value call finds it
-    in that call's cache (``lugroup.make_penalty_problem``).  A kind asked
-    by several runs goes to one call on their stacked points, shape
-    ``(k, p)``, which the penalty and phi kernels evaluate in one batched
-    pass; a kind asked by one run, to a call on its single point.  A run's
-    ``wall_time`` runs from ``t0`` to its end.
+class _Runs:
+    """BFGS runs as a stack, a row per live run: points ``x``, gradients ``g``, directions ``d``
+    and inverse Hessians ``h``.  Each round makes one ``fun`` call at every live run's trial
+    point, then one ``grad`` call at those whose step passed the sufficient-decrease test (so
+    the problem can reuse the value call's terms), and advances the stack by masked steps; a
+    run that ends leaves it.  ``vecdot`` and ``matvec`` give each row a lone ``@``'s BLAS calls.
     """
-    results: list = [None] * len(runs)
-    rows = {"f": [0] * len(runs), "g": [0] * len(runs)}
-    asks: dict = {"f": [], "g": []}  # (run, point) per kind, in the order asked
-    for i, run in enumerate(runs):
-        kind, x = next(run)
-        asks[kind].append((i, x))
-    calls = (("g", grad), ("f", fun))
-    while asks["f"] or asks["g"]:
-        for kind, call in calls:
-            batch, asks[kind] = asks[kind], []
-            if len(batch) > 1:
-                answers = call(np.stack([x for _, x in batch]))
-            elif batch:
-                answers = (call(batch[0][1]),)
-            else:
-                continue
-            for (i, _), answer in zip(batch, answers):
-                rows[kind][i] += 1
-                try:
-                    next_kind, x = runs[i].send(answer)
-                    asks[next_kind].append((i, x))
-                except StopIteration as stop:
-                    results[i] = OptimResult(**stop.value, restarts_used=1, wall_time=time.perf_counter() - t0,
-                                             value_rows=rows["f"][i], grad_rows=rows["g"][i])
-    return results
+
+    def __init__(self, x0s, cfg: OptimConfig, t0: float, history: list | None):
+        self.x = np.array(x0s, dtype=float)
+        k, p = self.x.shape
+        self.cfg, self.t0, self.history, self.eye = cfg, t0, [] if history is None else history, np.eye(p)
+        self.h, self.d = np.broadcast_to(self.eye, (k, p, p)).copy(), np.zeros((k, p))
+        self.live = self.runs = [_Run() for _ in range(k)]  # `live` is rebound, never changed in place
+
+    def ask(self, call, kind: int, rows: list, points: np.ndarray) -> np.ndarray:
+        """``call`` at the ``points`` of ``rows``: a lone point by itself, several stacked."""
+        for j in rows:
+            self.live[j].rows[kind] += 1
+        if len(rows) == 1:
+            return np.asarray(call(points[rows[0]]), dtype=float)[None]
+        return np.asarray(call(points[rows]), dtype=float)
+
+    def run(self, fun, grad) -> list[OptimResult]:
+        every = list(range(len(self.runs)))
+        values = self.ask(fun, _VALUE, every, self.x)
+        if not np.isfinite(values).all():
+            raise ValueError("objective not finite at the starting point")
+        for run, value in zip(self.runs, values.tolist()):
+            run.f = value
+            self.history.append(value)
+        self.g = self.ask(grad, _GRAD, every, self.x).copy()
+        self.begin([True] * len(every))
+        while self.settle():
+            steps = np.array([run.a for run in self.live])[:, None] * self.d
+            points = self.x + steps
+            for run, value in zip(self.live, self.ask(fun, _VALUE, list(range(len(self.live))), points).tolist()):
+                run.took_value(value)
+            rows = [j for j, run in enumerate(self.live) if run.want == _GRAD]
+            if rows:
+                g_new = self.g.copy()
+                g_new[rows if len(rows) < len(self.live) else slice(None)] = self.ask(grad, _GRAD, rows, points)
+                slopes = np.vecdot(g_new, self.d).tolist()
+                for j in rows:
+                    self.live[j].took_slope(slopes[j])
+                ok = [run.want == _OK for run in self.live]
+                if any(ok):
+                    self.accept(ok, g_new, steps)
+        return [OptimResult(r.f, r.x, r.iters, r.converged, 1, r.wall, r.rows[_VALUE], r.rows[_GRAD], r.status)
+                for r in self.runs]
+
+    def settle(self) -> bool:
+        """Finish the runs that stopped and drop their rows; True while any run is live."""
+        for j, run in enumerate(self.live):
+            if run.want == _END:
+                # No Wolfe step: end at the best step seen if it descends.
+                run.converged, run.want = run.dev < self.cfg.tol_fun, _DONE
+                run.status = "flat" if run.converged else "fail"
+                if not run.converged and math.isfinite(run.best_f) and run.best_f < run.f:
+                    self.x[j], run.f = self.x[j] + run.best_a * self.d[j], run.best_f
+                    self.history.append(run.f)
+            if run.want == _DONE:
+                run.x, run.wall = self.x[j].copy(), time.perf_counter() - self.t0
+        keep = [j for j, run in enumerate(self.live) if run.want != _DONE]
+        if len(keep) < len(self.live):
+            self.live = [self.live[j] for j in keep]
+            self.x, self.g, self.d, self.h = self.x[keep], self.g[keep], self.d[keep], self.h[keep]
+        return bool(self.live)
+
+    def accept(self, ok: list, g_new: np.ndarray, s: np.ndarray) -> None:
+        """Take the steps ``s`` of the rows marked in ``ok``, update their inverse Hessians, then go on or stop."""
+        y = g_new - self.g
+        sy, yy = np.vecdot(s, y).tolist(), np.vecdot(y, y).tolist()
+        for j, run in enumerate(self.live):
+            if ok[j] and run.first and yy[j] > 0.0:
+                self.h[j] *= sy[j] / yy[j]
+        hy = np.matvec(self.h, y)
+        yhy, step = np.vecdot(y, hy).tolist(), np.sqrt(np.vecdot(s, s)).tolist()
+        update = [ok[j] and sy[j] > 1e-14 * step[j] * math.sqrt(yy[j]) for j in range(len(self.live))]
+        rho = [1.0 / sy[j] if update[j] else 0.0 for j in range(len(self.live))]
+        coef = np.array([r ** 2 * yhy[j] + r for j, r in enumerate(rho)])[:, None, None]
+        hys = hy[:, :, None] * s[:, None, :]  # its transpose is s (Hy)^T, term by term
+        new = self.h + coef * (s[:, :, None] * s[:, None, :])
+        new -= np.array(rho)[:, None, None] * (hys + hys.swapaxes(1, 2))
+        if all(update):  # every row takes its step and its update, as a lone run's does
+            self.h, self.x, self.g = new, self.x + s, g_new
+        else:  # the other rows keep theirs
+            np.copyto(self.h, new, where=np.array(update)[:, None, None])
+            taken = np.array(ok)[:, None]
+            self.x, self.g = np.where(taken, self.x + s, self.x), np.where(taken, g_new, self.g)
+        for j, run in enumerate(self.live):
+            if ok[j]:
+                decrease, run.f, run.status, run.first = run.f - run.fa, run.fa, "ok", False
+                self.history.append(run.f)
+                done = step[j] < self.cfg.tol_x or decrease < self.cfg.tol_fun
+                if done or run.iters == self.cfg.max_iters:
+                    run.converged, run.want = done, _DONE
+                else:
+                    run.iters += 1
+        self.begin([run.want == _OK for run in self.live])  # the runs that took a step and go on
+
+    def begin(self, go: list) -> None:
+        """Start an iteration of the rows marked in ``go``: a direction and a line search along it."""
+        d = -np.matvec(self.h, self.g)
+        for j, slope in enumerate(np.vecdot(self.g, d).tolist()):
+            if go[j] and slope >= 0.0:
+                # Corrupted curvature (possible on nonsmooth objectives): fall back to steepest descent.
+                self.h[j], d[j], slope = self.eye, -self.g[j], -float(self.g[j] @ self.g[j])
+            if go[j] and slope == 0.0:  # exactly stationary; step norm is 0 < tol_x
+                self.live[j].converged, self.live[j].want = True, _DONE
+            elif go[j]:
+                self.live[j].search(slope)
+        self.d = d if all(go) else np.where(np.array(go)[:, None], d, self.d)
 
 
 def bfgs_minimize(
@@ -267,7 +253,7 @@ def bfgs_minimize(
     """Minimize ``fun`` from ``x0``; never raises on line-search failure."""
     t0 = time.perf_counter()
     cfg.validate()
-    return _lockstep(fun, grad, [_bfgs(x0, cfg, history)], t0)[0]
+    return _Runs([x0], cfg, t0, history).run(fun, grad)[0]
 
 
 Sampler = Callable[[np.random.Generator], np.ndarray]
@@ -283,23 +269,20 @@ def multi_start(
 ) -> OptimResult:
     """Best of ``starts`` plus ``cfg.restarts`` sampled runs (ties keep the earliest).
 
-    All runs advance in lockstep (``_lockstep``), so ``fun`` and ``grad``
-    must accept a stack of points as well as a single one.  ``callback``
-    sees every run's result in start order once all runs have ended; a
-    run's ``wall_time`` counts from the start of ``multi_start``.
+    All runs advance in lockstep (``_Runs``), so ``fun`` and ``grad`` must
+    accept a stack of points as well as a single one.  ``callback`` sees
+    every run's result in start order once all runs have ended; a run's
+    ``wall_time`` counts from the start of ``multi_start`` to its end.
     """
     t0 = time.perf_counter()
     cfg.validate()
     x0s = list(starts) + [sampler(np.random.default_rng([cfg.seed, k])) for k in range(cfg.restarts)]
     if not x0s:
         raise ValueError("multi_start needs at least one start or restart")
-    runs = _lockstep(fun, grad, [_bfgs(x0, cfg) for x0 in x0s], t0)
-    best = runs[0]
-    for run in runs:
-        if callback is not None:
-            callback(run)
-        if run.best_value < best.best_value:
-            best = run
+    runs = _Runs(x0s, cfg, t0, None).run(fun, grad)
+    for run in runs if callback is not None else ():
+        callback(run)
+    best = min(runs, key=lambda r: r.best_value)  # min keeps the earliest of ties
     return replace(best, iterations=sum(r.iterations for r in runs), restarts_used=len(runs),
                    wall_time=time.perf_counter() - t0, value_rows=sum(r.value_rows for r in runs),
                    grad_rows=sum(r.grad_rows for r in runs))

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .heuristic import XHeuristicResult, x_heuristic
-from .lugroup import _factors, angle_sampler, fd_gradient
+from .lugroup import _factors, angle_sampler, fd_gradient, kept_rows
 from .optim import OptimConfig, OptimResult, multi_start
 from .states import DensityMatrix
 
@@ -127,60 +127,110 @@ def frame_phi_params(n_qubits: int, frame_factors, mu: int) -> PhiParams:
     return PhiParams(n_qubits=n_qubits, v_angles=v, w_angles=w)
 
 
-def _first_columns(rows: np.ndarray, n: int):
-    """Per point of a stack ``(k, 4n)`` and qubit, first columns of V (row 0) and W (row 1), shape
-    ``(k, n, 2, 2)``, and the sin, cos and ``e^{-i phi}`` they are built from, each ``(k, n, 2)``."""
-    angles = rows.reshape(-1, 2, 2, n).transpose(0, 3, 1, 2)  # (point, qubit, V or W, theta or phi)
-    sin, cos, phase = np.sin(angles[..., 0]), np.cos(angles[..., 0]), np.exp(-1j * angles[..., 1])
-    return np.stack([cos, -sin * phase], axis=-1), sin, cos, phase
-
-
 def _choice_table(cols: np.ndarray) -> np.ndarray:
     """Row ``m``: kron over qubits of (V column if mask bit 0 else W column).
 
-    ``cols`` has the shape ``(..., n, 2, 2)`` of ``_first_columns``; any
-    leading axes are batched.  Mask bits follow the basis convention
-    (qubit 1 most significant), so a bipartition mask indexes the vector
-    that uses W exactly on side A.
+    ``cols`` has the shape ``(..., n, 2, 2)`` of the first columns in
+    ``_value_pass``; any leading axes are batched.  Mask bits follow the
+    basis convention (qubit 1 most significant), so a bipartition mask
+    indexes the vector that uses W exactly on side A.
     """
     batch = cols.shape[:-3]
-    table = np.ones(batch + (1, 1), dtype=complex)
-    for j in range(cols.shape[-3]):
-        table = (table[..., :, None, :, None] * cols[..., j, None, :, None, :]).reshape(
-            batch + (2 * table.shape[-2], 2 * table.shape[-1])
-        )
+    # The chain starts at 1 times qubit 1's columns: a product by 1 can flip a zero's sign.
+    table = cols[..., 0, :, :] * (1 + 0j)
+    for j in range(1, cols.shape[-3]):
+        # One multiply per value of the new column bit, so that numpy loops along whole rows.
+        out = np.empty(batch + (table.shape[-2], 2, table.shape[-1], 2), dtype=complex)
+        for e in (0, 1):
+            np.multiply(table[..., :, None, :], cols[..., j, None, :, None, e], out=out[..., e])
+        table = out.reshape(batch + (2 * table.shape[-2], 2 * table.shape[-1]))
     return table
 
 
-def _witness_terms(mat: np.ndarray, table: np.ndarray):
-    """``T = table^* rho``, the diagonal terms ``d_m``, ``f = T_last . table_0`` and ``|f|``, batched."""
+def _value_pass(mat: np.ndarray, x: np.ndarray, n: int):
+    """``i_phi_from_vector`` at ``x``, and per point the terms its gradient reuses: the first
+    columns of each qubit's V (row 0) and W (row 1), ``(k, n, 2, 2)``, with the sin, cos and
+    ``e^{-i phi}`` they come from, ``T = table^* rho``, the diagonal terms ``d_m``, ``f`` and ``|f|``."""
+    x = np.asarray(x, dtype=float)
+    # A single point goes through as a stack of one, so that its value is
+    # bit for bit the row it would be in any stack.
+    angles = x.reshape(-1, 2, 2, n).transpose(0, 3, 1, 2)  # (point, qubit, V or W, theta or phi)
+    sin, cos, phase = np.sin(angles[..., 0]), np.cos(angles[..., 0]), np.exp(-1j * angles[..., 1])
+    cols = np.stack([cos, -sin * phase], axis=-1)
+    table = _choice_table(cols)
     t = table.conj() @ mat
     diag_exp = (t * table).sum(axis=-1).real
     f = (t[..., -1, None, :] @ table[..., 0, :, None])[..., 0, 0]
     # hypot is the modulus Python's abs() takes of one complex number;
     # numpy's vectorized complex abs can round the last bit differently.
-    return t, diag_exp, f, np.hypot(f.real, f.imag)
-
-
-def i_phi_from_vector(mat: np.ndarray, x: np.ndarray, n: int):
-    """The witness at packed angles ``x``; a float, or one per row of a stack ``(..., 4n)``."""
-    x = np.asarray(x, dtype=float)
-    # A single point goes through as a stack of one, so that its value is
-    # bit for bit the row it would be in any stack.
-    _, diag_exp, _, first = _witness_terms(mat, _choice_table(_first_columns(x.reshape(-1, 4 * n), n)[0]))
+    first = np.hypot(f.real, f.imag)
     masks, comps = _bipartition_masks(n)
     # ``take`` keeps the rows contiguous: summed over a strided axis, a row
     # would add up in another order than a lone point's.
     cross = np.sqrt(np.maximum(diag_exp.take(masks, axis=-1) * diag_exp.take(comps, axis=-1), 0.0))
     value = first - cross.sum(axis=-1)
-    return float(value[0]) if x.ndim == 1 else value.reshape(x.shape[:-1])
+    terms = (cols, sin, cos, phase, t, diag_exp, f, first)
+    return (float(value[0]) if x.ndim == 1 else value.reshape(x.shape[:-1])), terms
+
+
+def i_phi_from_vector(mat: np.ndarray, x: np.ndarray, n: int):
+    """The witness at packed angles ``x``; a float, or one per row of a stack ``(..., 4n)``."""
+    return _value_pass(mat, x, n)[0]
 
 
 @lru_cache(maxsize=None)
-def _row_bits(n: int) -> np.ndarray:
-    """(2n, 2**n) array: row ``b`` holds qubit ``b mod n``'s bit of every row index."""
-    bits = (np.arange(2 ** n) >> (n - 1 - np.arange(n))[:, None]) & 1
-    return np.tile(bits, (2, 1)).astype(float)
+def _row_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(2n, 2**n) arrays: row ``b`` holds qubit ``b mod n``'s bit of every row index, and its complement."""
+    bits = np.tile((np.arange(2 ** n) >> (n - 1 - np.arange(n))[:, None]) & 1, (2, 1)).astype(float)
+    return bits, 1.0 - bits
+
+
+def _kink_level(mat: np.ndarray, n: int) -> float:  # see i_phi_gradient
+    return 2 ** n * np.finfo(float).eps * abs(np.trace(mat))
+
+
+def _gradient(terms, n: int, zero: float) -> np.ndarray:
+    """``i_phi_gradient``'s rows from the value pass's ``terms``; a row of NaN at each kink.
+
+    One batched ``_choice_table`` pass builds 2n derivative tables: table ``b`` has qubit
+    ``b mod n``'s columns replaced by their theta (``b < n``) or phi (``b >= n``) derivatives,
+    so its row ``m`` is the derivative of row ``m`` by that angle of V where the qubit's bit of
+    ``m`` is 0, else of W.
+    """
+    cols, sin, cos, phase, t, diag_exp, f, first = terms
+    smooth = (first > zero) & (diag_exp[:, 1:-1] > zero).all(axis=-1)
+    if not smooth.all():
+        # Rare: assemble the smooth rows alone, which leaves them bit for bit as they are.
+        g = np.full((len(t), 4 * n), np.nan)
+        g[smooth] = _gradient(tuple(a[smooth] for a in terms), n, zero)
+        return g
+    k = len(t)
+    d_cols = np.zeros((k, 2, n, 2, 2), dtype=complex)  # (point, theta or phi, qubit, V or W, entry)
+    d_cols[:, 0, ..., 0] = -sin
+    d_cols[:, 0, ..., 1] = -cos * phase
+    d_cols[:, 1, ..., 1] = -1j * cols[..., 1]
+    q = np.arange(n)
+    cols_b = np.repeat(cols[:, None], 2 * n, axis=1)
+    cols_b.reshape(k, 2, n, n, 2, 2)[:, :, q, q] = d_cols
+    dtables = _choice_table(cols_b)
+    masks, comps = _bipartition_masks(n)
+    # d sqrt(d_m d_c) / d d_m = d_c / (2 sqrt(d_m d_c)); rows 0 and 2**n - 1
+    # enter no square root.
+    d_m, d_c = diag_exp.take(masks, axis=1), diag_exp.take(comps, axis=1)
+    two_roots = 2.0 * np.sqrt(d_m * d_c)
+    weight = np.zeros(diag_exp.shape)
+    weight[:, masks] = d_c / two_roots
+    weight[:, comps] = d_m / two_roots
+    # d d_m = 2 Re sum_j dt_m[j] T[m, j], with T = table^* rho.
+    d_cross = 2.0 * np.real(np.einsum("kbmj,kmj->kbm", dtables, t)) * weight[:, None]
+    bits, flipped = _row_bits(n)
+    # first = |f| with f = t_last^dag rho t_0, and d|f| = Re(conj(f) df) / |f|.
+    # V angles move t_0 (row 0): df = T[-1] . dt_0.  W angles move t_last:
+    # df = conj(dt_last . T[0]), since rho t_0 = conj(T[0]) for Hermitian rho.
+    d_first_v = np.real(np.conj(f)[:, None] * (dtables[:, :, 0] @ t[:, -1, :, None])[..., 0]) / first[:, None]
+    d_first_w = np.real(f[:, None] * (dtables[:, :, -1] @ t[:, 0, :, None])[..., 0]) / first[:, None]
+    return np.concatenate([d_first_v - np.sum(flipped * d_cross, axis=-1),
+                           d_first_w - np.sum(bits * d_cross, axis=-1)], axis=-1)
 
 
 def i_phi_gradient(mat: np.ndarray, x: np.ndarray, n: int) -> np.ndarray | None:
@@ -192,86 +242,39 @@ def i_phi_gradient(mat: np.ndarray, x: np.ndarray, n: int) -> np.ndarray | None:
     positive, ``d_m`` being the diagonal term of table row ``m`` (never
     negative for a PSD ``rho``).  Values below the rounding level
     ``2**n * eps * |tr rho|`` count as zero: at an angle of pi/2 the table
-    holds cos(pi/2) ~ 6e-17, and a term that is zero in exact arithmetic
-    comes out near 1e-33.
-
-    The derivative tables come from the same batched ``_choice_table``
-    pass as the plain one: table ``1 + b`` has qubit ``b mod n``'s columns
-    replaced by their theta (``b < n``) or phi (``b >= n``) derivatives,
-    so its row ``m`` is the derivative of row ``m`` by that angle of V
-    where the qubit's bit of ``m`` is 0, and of W where it is 1.
+    holds cos(pi/2) ~ 6e-17, and a zero term comes out near 1e-33.
     """
-    x = np.asarray(x, dtype=float)
-    rows = x.reshape(-1, 4 * n)
-    k = rows.shape[0]
-    cols, sin, cos, phase = _first_columns(rows, n)
-    d_cols = np.zeros((k, 2, n, 2, 2), dtype=complex)  # (point, theta or phi, qubit, V or W, entry)
-    d_cols[:, 0, ..., 0] = -sin
-    d_cols[:, 0, ..., 1] = -cos * phase
-    d_cols[:, 1, ..., 1] = -1j * cols[..., 1]
-    q = np.arange(n)
-    cols_b = np.repeat(cols[:, None], 2 * n + 1, axis=1)
-    cols_b[:, 1:].reshape(k, 2, n, n, 2, 2)[:, :, q, q] = d_cols
-    tables = _choice_table(cols_b)
-    table, dtables = tables[:, 0], tables[:, 1:]
-
-    t, diag_exp, f, first = _witness_terms(mat, table)
-    masks, comps = _bipartition_masks(n)
-    zero = 2 ** n * np.finfo(float).eps * abs(np.trace(mat))
-    smooth = (first > zero) & (diag_exp[:, 1:-1] > zero).all(axis=-1)
-    if not smooth.all():
-        if x.ndim == 1:
-            return None
-        # Rare: redo the smooth rows alone, which leaves them bit for bit as they are.
-        g = np.full(rows.shape, np.nan)
-        g[smooth] = i_phi_gradient(mat, rows[smooth], n)
-        return g.reshape(x.shape)
-
-    # d sqrt(d_m d_c) / d d_m = d_c / (2 sqrt(d_m d_c)); rows 0 and 2**n - 1
-    # enter no square root.
-    d_m, d_c = diag_exp.take(masks, axis=1), diag_exp.take(comps, axis=1)
-    roots = np.sqrt(d_m * d_c)
-    weight = np.zeros(diag_exp.shape)
-    weight[:, masks] = d_c / (2.0 * roots)
-    weight[:, comps] = d_m / (2.0 * roots)
-    # d d_m = 2 Re sum_j dt_m[j] T[m, j], with T = table^* rho.
-    d_cross = 2.0 * np.real(np.einsum("kbmj,kmj->kbm", dtables, t)) * weight[:, None]
-    bits = _row_bits(n)
-    # first = |f| with f = t_last^dag rho t_0, and d|f| = Re(conj(f) df) / |f|.
-    # V angles move t_0 (row 0): df = T[-1] . dt_0.  W angles move t_last:
-    # df = conj(dt_last . T[0]), since rho t_0 = conj(T[0]) for Hermitian rho.
-    d_first_v = np.real(np.conj(f)[:, None] * (dtables[:, :, 0] @ t[:, -1, :, None])[..., 0]) / first[:, None]
-    d_first_w = np.real(f[:, None] * (dtables[:, :, -1] @ t[:, 0, :, None])[..., 0]) / first[:, None]
-    g = np.concatenate([
-        d_first_v - np.sum((1.0 - bits) * d_cross, axis=-1),
-        d_first_w - np.sum(bits * d_cross, axis=-1),
-    ], axis=-1)
-    return g[0] if x.ndim == 1 else g.reshape(x.shape)
+    g = _gradient(_value_pass(mat, x, n)[1], n, _kink_level(mat, n))
+    return (None if np.isnan(g[0, 0]) else g[0]) if np.ndim(x) == 1 else g.reshape(np.shape(x))
 
 
-def make_phi_problem(mat: np.ndarray, n: int):
+def make_phi_problem(mat: np.ndarray, n: int, kinks: list | None = None):
     """``(fun, grad)``: the negated witness ``c_phi_estimate`` minimizes, and its gradient.
 
-    Both accept one point or a stack ``(k, 4n)`` of them.  ``grad`` is
-    exact wherever the witness is smooth (``i_phi_gradient``).  At a kink,
-    where no gradient exists, that row falls back to central finite
-    differences of ``fun`` (``fd_gradient``), which average the one-sided
-    slopes within ``lugroup.FD_STEP`` of the point; a line search that
-    cannot descend along that direction ends the restart.
+    Both accept one point or a stack ``(k, 4n)``.  ``grad`` is exact where the witness is smooth
+    (``i_phi_gradient``), from the last value call's pass if that call saw every point.  At a
+    kink, where no gradient exists, the row falls back to central differences of the witness
+    (``fd_gradient``), which average the one-sided slopes within ``lugroup.FD_STEP``; ``kinks``,
+    if given, receives each such point.  A line search that cannot descend there ends the restart.
     """
+    kinks = [] if kinks is None else kinks
+    zero, kept_key, kept_terms = _kink_level(mat, n), b"", ()
 
     def fun(x: np.ndarray):
-        return -i_phi_from_vector(mat, x, n)
+        nonlocal kept_key, kept_terms
+        value, kept_terms = _value_pass(mat, x, n)
+        kept_key = np.asarray(x, dtype=float).tobytes()
+        return -value
 
     def grad(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        g = i_phi_gradient(mat, x, n)
-        if x.ndim == 1:
-            return fd_gradient(fun, x) if g is None else -g
-        g = -g
+        rows = np.asarray(x, dtype=float).reshape(-1, 4 * n)
+        pos = kept_rows(kept_key, rows.tobytes(), 32 * n)  # a row of 4n float64 angles has 32n bytes
+        terms = _value_pass(mat, rows, n)[1] if pos is None else tuple(a[pos] for a in kept_terms)
+        g = -_gradient(terms, n, zero)
         for i in np.flatnonzero(np.isnan(g[:, 0])):
-            g[i] = fd_gradient(fun, x[i])
-        return g
+            kinks.append(rows[i].copy())
+            g[i] = fd_gradient(lambda xs: -i_phi_from_vector(mat, xs, n), rows[i])  # leaves the kept pass
+        return g[0] if np.ndim(x) == 1 else g.reshape(np.shape(x))
 
     return fun, grad
 
@@ -291,6 +294,7 @@ class EstimateResult:
     params: PhiParams
     optim: OptimResult
     x: XHeuristicResult | None  # the X run that seeded the frame; None without warm starts
+    kink_rows: int  # gradient rows that fell back to central differences
 
 
 def c_phi_estimate(
@@ -312,7 +316,8 @@ def c_phi_estimate(
     """
     rho.check_structure()
     n = rho.n_qubits
-    neg, grad = make_phi_problem(rho.mat, n)
+    kinks: list = []
+    neg, grad = make_phi_problem(rho.mat, n, kinks)
     starts = []
     xres = None
     if include_warm_starts:
@@ -326,4 +331,5 @@ def c_phi_estimate(
         params=vector_to_params(n, best.best_point),
         optim=best,
         x=xres,
+        kink_rows=len(kinks),
     )

@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -164,10 +165,18 @@ def collective_ops(n: int) -> tuple[np.ndarray, np.ndarray]:
     return jp, jp.conj().T
 
 
+@lru_cache(maxsize=None)
+def _lowering(n: int) -> np.ndarray:
+    """J_- of ``collective_ops(n)``, built once per n and read-only."""
+    jm = collective_ops(n)[1]
+    jm.flags.writeable = False
+    return jm
+
+
 def _dicke_unnormalized(n: int, gamma: float) -> np.ndarray:
     # rho ~ sum_{m,n} (i*gamma*J_-)^m (-i*gamma*J_+)^n = L @ L^dag with
     # L = sum_m (i*gamma*J_-)^m; the sum truncates exactly at m = N.
-    _, jm = collective_ops(n)
+    jm = _lowering(n)
     left = np.zeros((2 ** n, 2 ** n), dtype=complex)
     power = np.eye(2 ** n, dtype=complex)
     for _ in range(n + 1):

@@ -198,7 +198,10 @@ def test_cli_estimate_ghz(tmp_path):
     assert doc["gm_lower_bound_x"] == pytest.approx(1.0, abs=1e-12)
     assert doc["x_heuristic"]["estimate"] == pytest.approx(1.0, abs=1e-9)
     assert doc["phi_scheme"]["estimate"] == pytest.approx(1.0, abs=1e-9)
-    # The optimizer's counts follow the existing keys; no estimate column moves.
+    # The kink count follows the phi estimate; the optimizer's counts follow
+    # the existing keys; no estimate column moves.
+    assert list(doc["phi_scheme"])[:2] == ["estimate", "kink_rows"]
+    assert doc["phi_scheme"]["kink_rows"] >= 0
     for scheme in ("x_heuristic", "phi_scheme"):
         fields = doc[scheme]
         assert list(fields)[-4:] == ["wall_time_s", "value_rows", "grad_rows", "line_search"]

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from gmx import lugroup
+from gmx import lugroup, phi_scheme
 from gmx.heuristic import warm_starts
 from gmx.lugroup import angle_sampler, fd_gradient, make_penalty_problem
 from gmx.optim import OptimConfig, bfgs_minimize, multi_start
 from gmx.phi_scheme import (
+    c_phi_estimate,
     i_phi_from_vector,
     i_phi_gradient,
     make_phi_problem,
@@ -186,6 +187,104 @@ def test_stacked_phi_rows_equal_single_points(n):
                 assert np.array_equal(grads[i], single)
             assert np.array_equal(problem_grads[i], grad(x))
         assert np.isnan(grads[4]).all() == kink
+
+
+def _fresh_phi_grad(mat, x, n):
+    # The problem's gradient row at x, from a problem that has kept nothing.
+    return make_phi_problem(mat, n)[1](x)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_phi_gradient_stack_mixing_kept_and_new_passes_equals_fresh_rows(n):
+    rng = np.random.default_rng([85, n])
+    for rho in (random_density_matrix(n, 3, seed=85 + n), ghz(n)):
+        xs = rng.uniform(0.0, 2 * np.pi, (6, 4 * n))
+        xs[2] = params_to_vector(phi_mu_params(n, 0))  # a kink of GHZ(n) only
+        fun, grad = make_phi_problem(rho.mat, n)
+        fun(xs[[4, 0, 2]])  # rows 0, 2 and 4 keep their pass, in another order
+        grads = grad(xs)
+        for g, x in zip(grads, xs):
+            single = i_phi_gradient(rho.mat, x, n)
+            assert np.array_equal(g, _fresh_phi_grad(rho.mat, x, n))
+            if single is not None:
+                assert np.array_equal(g, -single)
+        assert np.array_equal(grad(xs[[2, 4]]), grads[[2, 4]])  # the value call's pass is still kept
+        fun(xs)
+        assert np.array_equal(grad(xs), grads)  # every row from the kept pass
+
+
+def _counting(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_kink_fallback_between_value_and_gradient_keeps_the_pass(monkeypatch):
+    n = 3
+    xs = np.random.default_rng(86).uniform(0.0, 2 * np.pi, (4, 4 * n))
+    xs[1] = params_to_vector(phi_mu_params(n, 0))  # a kink of GHZ(3)
+    kinks = []
+    fun, grad = make_phi_problem(ghz(n).mat, n, kinks)
+    fun(xs)
+    kink = grad(xs[1])  # central differences of the witness: 24 more points
+    assert len(kinks) == 1 and np.array_equal(kinks[0], xs[1])
+    calls = {}
+    _counting(monkeypatch, phi_scheme, "_value_pass", calls)
+    rest = grad(xs[[0, 2, 3]])
+    assert calls == {}  # the value call's pass served every row
+    for g, x in zip(rest, xs[[0, 2, 3]]):
+        assert np.array_equal(g, _fresh_phi_grad(ghz(n).mat, x, n))
+    assert np.array_equal(kink, _fresh_phi_grad(ghz(n).mat, xs[1], n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_optimizer_gradients_reuse_the_value_calls_phi_pass(monkeypatch, n):
+    # Every gradient c_phi_estimate asks for sits among the points of the last
+    # value call, so the witness's value pass (and its choice table) runs once
+    # per value call, once per kink row's central differences and never for
+    # the gradient itself.
+    calls = {"fun": 0}
+    real_multi_start = phi_scheme.multi_start
+
+    def counted_multi_start(fun, grad, *args, **kwargs):
+        def counted_fun(x):
+            calls["fun"] += 1
+            return fun(x)
+        return real_multi_start(counted_fun, grad, *args, **kwargs)
+
+    monkeypatch.setattr(phi_scheme, "multi_start", counted_multi_start)
+    for name in ("_value_pass", "fd_gradient"):
+        calls[name] = 0
+        _counting(monkeypatch, phi_scheme, name, calls)
+    tables = []
+    real_table = phi_scheme._choice_table
+    monkeypatch.setattr(phi_scheme, "_choice_table", lambda cols: tables.append(cols.ndim) or real_table(cols))
+    res = c_phi_estimate(random_density_matrix(n, 3, seed=95 + n), OptimConfig(restarts=3, seed=n))
+    assert res.optim.grad_rows > res.kink_rows == calls["fd_gradient"]
+    assert calls["fun"] > 2
+    assert calls["_value_pass"] == calls["fun"] + calls["fd_gradient"]
+    assert tables.count(4) == calls["_value_pass"]  # the gradients built only derivative tables
+    assert tables.count(5) > 0
+
+
+def test_kink_count_survives_a_wrapped_problem(monkeypatch):
+    # A caller that wraps the problem's functions (a timing hook, say) still
+    # leaves c_phi_estimate its count of the kink rows.
+    real = phi_scheme.make_phi_problem
+
+    def wrapped(*args):
+        fun, grad = real(*args)
+        return (lambda x: fun(x)), (lambda x: grad(x))
+
+    res = c_phi_estimate(ghz(3), OptimConfig(restarts=2, seed=1))
+    monkeypatch.setattr(phi_scheme, "make_phi_problem", wrapped)
+    again = c_phi_estimate(ghz(3), OptimConfig(restarts=2, seed=1))
+    assert again.kink_rows == res.kink_rows > 0
+    assert again.estimate == res.estimate
 
 
 def test_fd_gradient_makes_one_stacked_call():

@@ -138,8 +138,9 @@ def test_estimate_uses_central_differences_only_at_kinks(monkeypatch):
         return fd_gradient(fun, x, *args)
 
     monkeypatch.setattr("gmx.phi_scheme.fd_gradient", counted)
-    c_phi_estimate(ghz(3), OptimConfig(restarts=2, seed=1))
+    res = c_phi_estimate(ghz(3), OptimConfig(restarts=2, seed=1))
     assert kinks and all(kinks)
+    assert res.kink_rows == len(kinks) > 0
 
 
 def test_c_phi_saturates_on_x_states():
