@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .matcore import kron_all
+from .optim import objective
 from .states import DensityMatrix, _wrap
 from .xform import off_x_mask
 
@@ -166,24 +167,15 @@ def conjugate(rho: DensityMatrix, p: LUParams) -> DensityMatrix:
 
 
 def make_penalty_problem(mat: np.ndarray, n_qubits: int):
-    """Return (fun, grad) closures for the penalty objective on packed angles.
+    """``(fun, grad)`` of the penalty objective on packed angles, through ``optim.objective``.
 
-    ``fun(x)`` is the off-X squared weight of ``sigma = U(x) mat U(x)^dag``;
-    ``grad(x)`` its exact gradient ``2 Re tr(B_j red_j)``, with
-    ``B_j = (d u_j) u_j^dag`` and ``red_j`` the 2x2 reduction onto qubit j
-    of ``sigma G``, ``G = mask o sigma``.  The N reductions come from two
-    matrix products, the reductions of ``sigma G`` onto the halves of
-    ``apply_local``'s split, and one index gather per half.  Both accept a
-    point ``(2N,)`` or a stack ``(k, 2N)`` and work on the whole stack at
-    once; every step treats the rows alike and sums in a fixed order, so a
-    row's bits do not depend on the stack it sits in.  The problem keeps
-    sigma for every row of its last value call.  A gradient gathers its
-    rows from there; if any is missing (only direct callers send such
-    stacks), ``apply_local`` builds every row's sigma.  Sigma and the
-    stack-sized work arrays live in three buffers that the problem keeps
-    and grows to the largest stack it has seen: at N >= 7, fresh arrays of
-    that size on every call made stacks slower than a loop over their rows
-    (page faults).
+    ``fun(x)`` is the off-X squared weight of ``sigma = U(x) mat U(x)^dag``; its pass keeps sigma.
+    ``grad(x)`` is the exact gradient ``2 Re tr(B_j red_j)``, with ``B_j = (d u_j) u_j^dag`` and
+    ``red_j`` the 2x2 reduction onto qubit j of ``sigma G``, ``G = mask o sigma``: two matrix
+    products reduce ``sigma G`` onto the halves of ``apply_local``'s split, and one index gather per
+    half gives the N reductions.  Every step treats the rows alike and sums in a fixed order, so a
+    row's bits do not depend on its stack.  Sigma and the work arrays live in three buffers grown to
+    the largest stack seen: at N >= 7, fresh arrays per call made stacks slower than a loop (page faults).
     """
     n = n_qubits
     dim = mat.shape[0]
@@ -194,8 +186,7 @@ def make_penalty_problem(mat: np.ndarray, n_qubits: int):
     upper = np.flatnonzero(np.triu(mask))  # the strict upper triangle off the X
     table_a, table_b = _trace_table(a), _trace_table(b)
     buffers = [np.empty((0, dim, dim), dtype=complex)] * 3  # sigma, work, gc
-    spaces: dict[tuple, tuple] = {}  # stack shape -> views of the buffers and of `off` in work
-    kept_key, kept_sigma = b"", buffers[0]  # the last value call's points and their sigmas
+    spaces: dict[tuple, tuple] = {}  # stack shape -> buffer views; uncached, lone X runs took 1.04x as long
 
     def space(lead: tuple) -> tuple:
         views = spaces.get(lead)
@@ -209,34 +200,19 @@ def make_penalty_problem(mat: np.ndarray, n_qubits: int):
             views = spaces[lead] = sig, work, gc, off
         return views
 
-    def points(x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != 2 * n:
-            raise ValueError(f"expected a point ({2 * n},) or a stack (k, {2 * n}), got shape {x.shape}")
-        return x
-
-    def fun(x: np.ndarray):
-        nonlocal kept_key, kept_sigma
-        x = points(x)
+    # A lone point keeps its own shapes: as a stack of one, value+gradient pairs took 1.09-1.13x as long.
+    def values(x: np.ndarray):
         lead = x.shape[:-1]
         sig, work, _, off = space(lead)
-        kept_key = b""  # sig is rewritten below
         s = _sandwich(mat_h, _factors(x, n), sig, work)
-        kept_key, kept_sigma = x.tobytes(), s
         np.take(s.reshape(lead + (-1,)), upper, axis=-1, out=off, mode="clip")  # "raise" would buffer out
-        values = np.square(off.view(float), out=off.view(float)).sum(-1)
-        return float(values) if x.ndim == 1 else values
+        penalty = np.square(off.view(float), out=off.view(float)).sum(-1)
+        return (float(penalty) if x.ndim == 1 else penalty), s
 
-    def sigma(x: np.ndarray, lead: tuple) -> np.ndarray:
-        pos = kept_rows(kept_key, x.tobytes(), 16 * n)  # a row of 2n float64 angles has 16n bytes
-        if pos is None:  # only direct callers send points the value call did not see
-            return apply_local(mat, _factors(x, n))
-        return kept_sigma.reshape(-1, dim, dim)[pos].reshape(lead + (dim, dim))
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        x = points(x)
+    def gradients(x: np.ndarray, s: np.ndarray, rows) -> np.ndarray:
         lead = x.shape[:-1]
-        s = sigma(x, lead)
+        if rows is not None:
+            s = s.reshape(-1, dim, dim)[rows].reshape(lead + (dim, dim))
         gc = np.conjugate(s, out=space(lead)[2])
         gc *= mask
         # red[..., j, b, a] = sum over the other qubits of (sigma G)[(..b..), (..a..)],
@@ -254,7 +230,7 @@ def make_penalty_problem(mat: np.ndarray, n_qubits: int):
         dph = 1j * sn * (sn * (red[..., 0, 0] - red[..., 1, 1]) + c * (lo + up))
         return 2.0 * np.concatenate([dth, dph], axis=-1).real
 
-    return fun, grad
+    return objective(2 * n, values, gradients)
 
 
 def grad_penalty(rho: DensityMatrix, p: LUParams) -> np.ndarray:
@@ -267,15 +243,6 @@ def grad_penalty_fd(rho: DensityMatrix, p: LUParams, h: float = FD_STEP) -> np.n
     """Central finite-difference gradient of the penalty objective."""
     fun, _ = make_penalty_problem(rho.mat, rho.n_qubits)
     return fd_gradient(fun, params_to_vector(p), h)
-
-
-def kept_rows(kept: bytes, key: bytes, width: int):
-    """Positions of the ``width``-byte rows of ``key`` in ``kept`` (a slice if all); None if one is missing."""
-    if key == kept:
-        return slice(None)
-    index = {kept[i:i + width]: j for j, i in enumerate(range(0, len(kept), width))}
-    pos = [index.get(key[i:i + width], -1) for i in range(0, len(key), width)]
-    return None if -1 in pos else pos
 
 
 def fd_gradient(fun, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:

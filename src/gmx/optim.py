@@ -129,11 +129,11 @@ class _Run:
 
 
 class _Runs:
-    """BFGS runs as a stack, a row per live run: points ``x``, gradients ``g``, directions ``d``
-    and inverse Hessians ``h``.  Each round makes one ``fun`` call at every live run's trial
-    point, then one ``grad`` call at those whose step passed the sufficient-decrease test (so
-    the problem can reuse the value call's terms), and advances the stack by masked steps; a
-    run that ends leaves it.  ``vecdot`` and ``matvec`` give each row a lone ``@``'s BLAS calls.
+    """BFGS runs as a stack, a row per live run: points ``x``, gradients ``g``, directions ``d``, inverse
+    Hessians ``h``.  Each round makes one ``fun`` call at every live run's trial point, then one ``grad``
+    call at those whose step passed the sufficient-decrease test, and advances the stack by whole-stack
+    steps, masked unless every row steps (masks alone made lone X runs take 1.05x as long); a run that
+    ends leaves it.  ``vecdot`` and ``matvec`` give each row a lone ``@``'s BLAS calls.
     """
 
     def __init__(self, x0s, cfg: OptimConfig, t0: float, history: list | None):
@@ -269,10 +269,10 @@ def multi_start(
 ) -> OptimResult:
     """Best of ``starts`` plus ``cfg.restarts`` sampled runs (ties keep the earliest).
 
-    All runs advance in lockstep (``_Runs``), so ``fun`` and ``grad`` must
-    accept a stack of points as well as a single one.  ``callback`` sees
-    every run's result in start order once all runs have ended; a run's
-    ``wall_time`` counts from the start of ``multi_start`` to its end.
+    All runs advance in lockstep (``_Runs``), so ``fun`` and ``grad`` must take a stack of
+    points as well as a lone one, and every gradient asked for is at points of the last value
+    call: the contract of ``objective``.  ``callback`` sees every run's result in start order
+    once all runs have ended; a run's ``wall_time`` counts from the start of ``multi_start``.
     """
     t0 = time.perf_counter()
     cfg.validate()
@@ -286,3 +286,43 @@ def multi_start(
     return replace(best, iterations=sum(r.iterations for r in runs), restarts_used=len(runs),
                    wall_time=time.perf_counter() - t0, value_rows=sum(r.value_rows for r in runs),
                    grad_rows=sum(r.grad_rows for r in runs))
+
+
+def as_points(x, width: int) -> np.ndarray:
+    """``x`` as float64, if it is a point ``(width,)`` or a stack ``(k, width)``; else ValueError."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != width:
+        raise ValueError(f"expected a point ({width},) or a stack (k, {width}), got shape {x.shape}")
+    return x
+
+
+def objective(width: int, values, gradients):
+    """``(fun, grad)`` for ``multi_start`` from an objective's value pass and gradient assembly.
+
+    Both take a point ``(width,)`` or a stack ``(k, width)`` (``as_points``).  ``values(x)`` gives
+    the value (a float, or one per row) and its pass, which ``fun`` keeps under the bytes of ``x``.
+    ``gradients(x, kept, rows)`` assembles the gradient at ``x`` from ``kept``, or from its rows
+    ``rows`` (one per row of ``x``) unless None.  A gradient at a point the last value call did not
+    see (only direct callers ask for one) gets a value pass of its own, which is then kept."""
+    key, kept, size = b"", None, 8 * width  # size: the bytes of a row of float64
+
+    def fun(x):
+        nonlocal key, kept
+        x = as_points(x, width)
+        key = b""  # a pass may write over the kept one's buffers
+        value, kept = values(x)
+        key = x.tobytes()
+        return value
+
+    def grad(x):
+        x = as_points(x, width)
+        this = x.tobytes()
+        if this != key:
+            index = {key[i:i + size]: j for j, i in enumerate(range(0, len(key), size))}
+            rows = [index.get(this[i:i + size]) for i in range(0, len(this), size)]
+            if None not in rows:
+                return gradients(x, kept, rows)
+            fun(x)
+        return gradients(x, kept, None)
+
+    return fun, grad

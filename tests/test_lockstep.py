@@ -139,7 +139,7 @@ def test_gradient_stack_mixing_kept_and_new_sigmas_equals_fresh_rows(n):
     fresh_fun, fresh_grad = make_penalty_problem(rho.mat, n)
     for g, x in zip(grads, xs):
         assert np.array_equal(g, fresh_grad(x))
-    assert np.array_equal(grad(xs[[2, 4]]), grads[[2, 4]])  # the value call's sigmas are still kept
+    assert np.array_equal(grad(xs[[2, 4]]), grads[[2, 4]])  # from the pass that grad(xs) kept
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -208,7 +208,7 @@ def test_phi_gradient_stack_mixing_kept_and_new_passes_equals_fresh_rows(n):
             assert np.array_equal(g, _fresh_phi_grad(rho.mat, x, n))
             if single is not None:
                 assert np.array_equal(g, -single)
-        assert np.array_equal(grad(xs[[2, 4]]), grads[[2, 4]])  # the value call's pass is still kept
+        assert np.array_equal(grad(xs[[2, 4]]), grads[[2, 4]])  # from the pass that grad(xs) kept
         fun(xs)
         assert np.array_equal(grad(xs), grads)  # every row from the kept pass
 

@@ -15,6 +15,7 @@ from gmx.lugroup import (
     su2,
     vector_to_params,
 )
+from gmx.phi_scheme import i_phi_from_vector, i_phi_gradient, make_phi_problem
 from gmx.states import DickeParams, dicke_steady_state, diagonal_symmetric, random_density_matrix, tau_populations
 from gmx.xform import penalty_f
 from helpers import ghz, loop_kron
@@ -167,16 +168,30 @@ def test_apply_local_on_a_stack_matches_dense_conjugation_row_by_row(n):
         assert np.abs(row - u @ rho.mat @ u.conj().T).max() <= 1e-14
 
 
+def bad_shapes(width):
+    # A stack of stacks, a point one angle short, a stack of rows too wide and two points in one row.
+    return np.zeros((2, 2, width)), np.zeros(width - 1), np.zeros((4, width + 2)), np.zeros(2 * width)
+
+
 def test_kernels_reject_shapes_they_do_not_take():
     rho = random_density_matrix(3, 2, seed=4)
-    fun, grad = make_penalty_problem(rho.mat, 3)
-    for bad in (np.zeros((2, 2, 6)), np.zeros(5), np.zeros((4, 8))):
-        with pytest.raises(ValueError, match="point"):
-            fun(bad)
-        with pytest.raises(ValueError, match="point"):
-            grad(bad)
+    for kernel in make_penalty_problem(rho.mat, 3):
+        for bad in bad_shapes(6):
+            with pytest.raises(ValueError, match=r"expected a point \(6,\) or a stack \(k, 6\)"):
+                kernel(bad)
     with pytest.raises(ValueError, match="factors"):
         apply_local(rho.mat, np.zeros((2, 2, 3, 2, 2)))
+
+
+def test_phi_kernels_reject_shapes_they_do_not_take():
+    # The phi kernels share the penalty's check of a point (4N,) or a stack (k, 4N).
+    rho = random_density_matrix(3, 2, seed=4)
+    kernels = [lambda x: i_phi_from_vector(rho.mat, x, 3), lambda x: i_phi_gradient(rho.mat, x, 3),
+               *make_phi_problem(rho.mat, 3)]
+    for kernel in kernels:
+        for bad in bad_shapes(12):
+            with pytest.raises(ValueError, match=r"expected a point \(12,\) or a stack \(k, 12\)"):
+                kernel(bad)
 
 
 def test_factors_match_the_per_qubit_formula_bit_for_bit():
@@ -204,24 +219,29 @@ def test_gradient_matches_finite_differences_up_to_eight_qubits(n):
     assert worst < 1e-6
 
 
-def test_shared_sigma_is_never_stale():
+@pytest.mark.parametrize("problem", ["penalty", "phi"])
+def test_shared_sigma_is_never_stale(problem):
+    # The kept pass (sigma for the penalty) never serves a gradient at other points.
     rng = np.random.default_rng(9)
     rho = random_density_matrix(4, 5, seed=9)
+    make, products = {"penalty": (make_penalty_problem, 1), "phi": (make_phi_problem, 2)}[problem]
+
+    def point():
+        return np.concatenate([params_to_vector(random_point(rng, 4)) for _ in range(products)])
 
     def fresh(which, x):
-        return make_penalty_problem(rho.mat, 4)[which](x.copy())
+        return make(rho.mat, 4)[which](x.copy())
 
-    fun, grad = make_penalty_problem(rho.mat, 4)
-    x = params_to_vector(random_point(rng, 4))
+    fun, grad = make(rho.mat, 4)
+    x = point()
     fun(x)
     x[2] += 0.3  # mutated in place after the value call
     assert np.array_equal(grad(x), fresh(1, x))
 
-    a = params_to_vector(random_point(rng, 4))
-    b = params_to_vector(random_point(rng, 4))
-    problem = make_penalty_problem(rho.mat, 4)
+    a, b = point(), point()
+    kernels = make(rho.mat, 4)
     for which, x in ((0, a), (1, b), (0, b), (1, a), (1, b), (0, a), (1, a), (0, b)):
-        assert np.array_equal(problem[which](x), fresh(which, x))
+        assert np.array_equal(kernels[which](x), fresh(which, x))
 
 
 def test_objective_periodic_in_theta():
