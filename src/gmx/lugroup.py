@@ -20,7 +20,7 @@ import numpy as np
 
 from .matcore import kron_all
 from .optim import objective
-from .states import DensityMatrix, _wrap
+from .states import DensityMatrix, _wrap, check_shape
 from .xform import off_x_mask
 
 FD_STEP = 1e-6
@@ -76,22 +76,23 @@ def canonicalize(p: LUParams) -> LUParams:
 
 def su2(theta: float, phi: float) -> np.ndarray:
     """Two-parameter single-qubit special unitary (determinant 1)."""
-    return _factors(np.array([theta, phi], dtype=float), 1)[0]
+    return _factors(np.array([theta, phi], dtype=float), 1)[1][0]
 
 
-def _factors(x: np.ndarray, n: int) -> np.ndarray:
-    """``(..., n, 2, 2)`` array of the per-qubit ``su2`` factors of packed angles ``(..., 2n)``."""
+def _factors(x: np.ndarray, n: int) -> tuple[tuple, np.ndarray]:
+    """``(cos theta, sin theta, e^{i phi})`` of packed angles ``(..., 2n)``, each ``(..., n)``, and
+    the ``(..., n, 2, 2)`` array of the per-qubit ``su2`` factors built from them."""
     c, s, e = np.cos(x[..., :n]), np.sin(x[..., :n]), np.exp(1j * x[..., n:])
     out = np.empty(c.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = out[..., 1, 1] = c
     out[..., 0, 1] = s * e
     out[..., 1, 0] = -s * np.conj(e)
-    return out
+    return (c, s, e), out
 
 
 def assemble(p: LUParams) -> np.ndarray:
     """Kronecker product of the per-qubit unitaries, qubit 1 leftmost."""
-    return kron_all(_factors(params_to_vector(p), p.n_qubits))
+    return kron_all(_factors(params_to_vector(p), p.n_qubits)[1])
 
 
 def _halves(n: int) -> tuple[int, int]:
@@ -163,13 +164,13 @@ def conjugate(rho: DensityMatrix, p: LUParams) -> DensityMatrix:
     """U rho U^dag for the product unitary described by ``p``."""
     if p.n_qubits != rho.n_qubits:
         raise ValueError(f"parameter count for {p.n_qubits} qubits, state has {rho.n_qubits}")
-    return _wrap(rho.n_qubits, apply_local(rho.mat, _factors(params_to_vector(p), p.n_qubits)))
+    return _wrap(rho.n_qubits, apply_local(rho.mat, _factors(params_to_vector(p), p.n_qubits)[1]))
 
 
 def make_penalty_problem(mat: np.ndarray, n_qubits: int):
     """``(fun, grad)`` of the penalty objective on packed angles, through ``optim.objective``.
 
-    ``fun(x)`` is the off-X squared weight of ``sigma = U(x) mat U(x)^dag``; its pass keeps sigma.
+    ``fun(x)`` is the off-X squared weight of ``sigma = U(x) mat U(x)^dag``; its pass keeps sigma and trig.
     ``grad(x)`` is the exact gradient ``2 Re tr(B_j red_j)``, with ``B_j = (d u_j) u_j^dag`` and
     ``red_j`` the 2x2 reduction onto qubit j of ``sigma G``, ``G = mask o sigma``: two matrix
     products reduce ``sigma G`` onto the halves of ``apply_local``'s split, and one index gather per
@@ -177,6 +178,7 @@ def make_penalty_problem(mat: np.ndarray, n_qubits: int):
     row's bits do not depend on its stack.  Sigma and the work arrays live in three buffers grown to
     the largest stack seen: at N >= 7, fresh arrays per call made stacks slower than a loop (page faults).
     """
+    check_shape(mat, n_qubits)
     n = n_qubits
     dim = mat.shape[0]
     a, b = _halves(n)
@@ -204,15 +206,18 @@ def make_penalty_problem(mat: np.ndarray, n_qubits: int):
     def values(x: np.ndarray):
         lead = x.shape[:-1]
         sig, work, _, off = space(lead)
-        s = _sandwich(mat_h, _factors(x, n), sig, work)
+        trig, factors = _factors(x, n)
+        s = _sandwich(mat_h, factors, sig, work)
         np.take(s.reshape(lead + (-1,)), upper, axis=-1, out=off, mode="clip")  # "raise" would buffer out
         penalty = np.square(off.view(float), out=off.view(float)).sum(-1)
-        return (float(penalty) if x.ndim == 1 else penalty), s
+        return (float(penalty) if x.ndim == 1 else penalty), (s, trig)
 
-    def gradients(x: np.ndarray, s: np.ndarray, rows) -> np.ndarray:
+    def gradients(x: np.ndarray, kept: tuple, rows) -> np.ndarray:
         lead = x.shape[:-1]
+        s, (c, sn, e) = kept
         if rows is not None:
             s = s.reshape(-1, dim, dim)[rows].reshape(lead + (dim, dim))
+            c, sn, e = (t.reshape(-1, n)[rows].reshape(lead + (n,)) for t in (c, sn, e))
         gc = np.conjugate(s, out=space(lead)[2])
         gc *= mask
         # red[..., j, b, a] = sum over the other qubits of (sigma G)[(..b..), (..a..)],
@@ -223,7 +228,6 @@ def make_penalty_problem(mat: np.ndarray, n_qubits: int):
             np.take(k_a.reshape(lead + (-1,)), table_a, axis=-1).sum(-4),
             np.take(k_b.reshape(lead + (-1,)), table_b, axis=-1).sum(-4),
         ], axis=-3)
-        c, sn, e = np.cos(x[..., :n]), np.sin(x[..., :n]), np.exp(1j * x[..., n:])
         lo, up = e * red[..., 1, 0], np.conj(e) * red[..., 0, 1]
         # B_theta = [[0, e], [-e*, 0]];  B_phi = i sin [[sin, cos e], [cos e*, -sin]]
         dth = lo - up

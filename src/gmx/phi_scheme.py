@@ -22,9 +22,9 @@ from functools import lru_cache
 import numpy as np
 
 from .heuristic import XHeuristicResult, x_heuristic
-from .lugroup import _factors, angle_sampler, fd_gradient
+from .lugroup import LUParams, angle_sampler, fd_gradient
 from .optim import OptimConfig, OptimResult, as_points, multi_start, objective
-from .states import DensityMatrix
+from .states import DensityMatrix, check_shape
 
 
 @dataclass(frozen=True)
@@ -86,45 +86,25 @@ def phi_mu_params(n_qubits: int, mu: int) -> PhiParams:
     to its bitwise complement, reproducing the closed-form bound of the
     X projection before any optimization.
     """
-    if not 0 <= mu < 2 ** (n_qubits - 1):
-        raise ValueError(f"mu={mu} out of range")
-    bits = np.array([(mu >> (n_qubits - j)) & 1 for j in range(1, n_qubits + 1)], dtype=float)
-    v = np.concatenate([bits * (np.pi / 2), np.zeros(n_qubits)])
-    w = np.concatenate([(1.0 - bits) * (np.pi / 2), np.zeros(n_qubits)])
-    return PhiParams(n_qubits=n_qubits, v_angles=v, w_angles=w)
+    return frame_phi_params(LUParams(n_qubits, np.zeros(n_qubits), np.zeros(n_qubits)), mu)
 
 
-def _unit_vector_angles(z0: complex, z1: complex) -> tuple[float, float]:
-    """Angles whose su2 first column is the unit vector (z0, z1) up to a phase.
+def frame_phi_params(frame: LUParams, mu: int) -> PhiParams:
+    """Product-state parameters reproducing anti-diagonal pair ``mu`` of the rotated ``frame``.
 
-    Every objective term is invariant under a global phase of each
-    single-qubit column, so the two-angle family reaches any unit vector.
+    For ``U = kron(su2(theta_q, phi_q))`` the witnessed quantity at these parameters equals the
+    X-projection score of pair ``mu`` on ``U rho U^dag``, so seeding from them transfers any lower
+    bound found by the penalty minimization to this scheme exactly.  Qubit q's V and W columns are
+    the conjugates of rows ``b_q`` (its bit of ``mu``) and ``1 - b_q`` of its factor; row r's is the
+    first column of ``su2(r pi/2 - theta_q, phi_q)`` up to a phase, which the witness ignores.
     """
-    m = min(1.0, abs(z0))
-    theta = float(np.arccos(m))
-    s = np.sin(theta)
-    if s < 1e-15:
-        return theta, 0.0
-    xi = np.conj(z0) / m if m > 1e-15 else 1.0
-    return theta, float(-np.angle(-xi * z1 / s))
-
-
-def frame_phi_params(n_qubits: int, frame_factors, mu: int) -> PhiParams:
-    """Product-state parameters reproducing anti-diagonal pair ``mu`` of a rotated frame.
-
-    For a local rotation ``U = kron(u_n)`` the witnessed quantity at these
-    parameters equals the X-projection score of pair ``mu`` evaluated on
-    ``U rho U^dag``; seeding from them transfers any lower bound found by
-    the penalty minimization to this scheme exactly.
-    """
-    v = np.zeros(2 * n_qubits)
-    w = np.zeros(2 * n_qubits)
-    for j in range(n_qubits):
-        bit = (mu >> (n_qubits - 1 - j)) & 1
-        u = frame_factors[j]
-        v[j], v[n_qubits + j] = _unit_vector_angles(*np.conj(u[bit, :]))
-        w[j], w[n_qubits + j] = _unit_vector_angles(*np.conj(u[1 - bit, :]))
-    return PhiParams(n_qubits=n_qubits, v_angles=v, w_angles=w)
+    n = frame.n_qubits
+    if not 0 <= mu < 2 ** (n - 1):
+        raise ValueError(f"mu={mu} out of range [0, {2 ** (n - 1)}) for {n} qubits")
+    bits = np.array([(mu >> (n - j)) & 1 for j in range(1, n + 1)], dtype=float)
+    v = np.concatenate([bits * (np.pi / 2) - frame.thetas, frame.phis])
+    w = np.concatenate([(1.0 - bits) * (np.pi / 2) - frame.thetas, frame.phis])
+    return PhiParams(n_qubits=n, v_angles=v, w_angles=w)
 
 
 def _choice_table(cols: np.ndarray) -> np.ndarray:
@@ -174,6 +154,7 @@ def _value_pass(mat: np.ndarray, x: np.ndarray, n: int):
 
 def i_phi_from_vector(mat: np.ndarray, x: np.ndarray, n: int):
     """The witness at packed angles ``x``; a float, or one per row of a stack ``(k, 4n)``."""
+    check_shape(mat, n)
     return _value_pass(mat, as_points(x, 4 * n), n)[0]
 
 
@@ -243,6 +224,7 @@ def i_phi_gradient(mat: np.ndarray, x: np.ndarray, n: int) -> np.ndarray | None:
     ``2**n * eps * |tr rho|`` count as zero: at an angle of pi/2 the table
     holds cos(pi/2) ~ 6e-17, and a zero term comes out near 1e-33.
     """
+    check_shape(mat, n)
     x = as_points(x, 4 * n)
     g = _gradient(_value_pass(mat, x, n)[1], n, _kink_level(mat, n))
     return (None if np.isnan(g[0, 0]) else g[0]) if x.ndim == 1 else g
@@ -256,6 +238,7 @@ def make_phi_problem(mat: np.ndarray, n: int, kinks: list | None = None):
     differences of the witness (``fd_gradient``), which average the one-sided slopes within
     ``lugroup.FD_STEP``; ``kinks``, if given, receives each such point.
     """
+    check_shape(mat, n)
     zero, kinks = _kink_level(mat, n), [] if kinks is None else kinks
 
     def values(x: np.ndarray):
@@ -297,27 +280,26 @@ def c_phi_estimate(
 ) -> EstimateResult:
     """Maximize the witnessed quantity over all 4N angles.
 
-    The deterministic start set contains the parameter point of every
-    anti-diagonal pair, which pins the estimate at or above the plain
-    X-projection bound, plus the same pairs expressed in the frame found
-    by a penalty minimization with the identical configuration, which pins
-    it at or above the X-heuristic estimate (that run is returned as
-    ``x``); ``cfg.restarts`` random starts come on top.  The objective is
-    not everywhere differentiable: its gradient is exact where it is
-    smooth and central finite differences at a kink (``make_phi_problem``),
-    and a failed line search simply ends that restart.
+    The deterministic start set holds every anti-diagonal pair twice, in
+    closed form (``frame_phi_params``): in the identity frame, which pins
+    the estimate at or above the plain X-projection bound, and in the
+    frame ``x.params`` of a penalty minimization with the identical
+    configuration, which pins it at or above the X-heuristic estimate
+    (that run is returned as ``x``); ``cfg.restarts`` random starts come
+    on top.  The objective is not everywhere differentiable: its gradient
+    is exact where it is smooth and central finite differences at a kink
+    (``make_phi_problem``), and a failed line search simply ends that
+    restart.
     """
     rho.check_structure()
     n = rho.n_qubits
     kinks: list = []
     neg, grad = make_phi_problem(rho.mat, n, kinks)
-    starts = []
-    xres = None
+    starts, xres = [], None
     if include_warm_starts:
-        starts += [params_to_vector(phi_mu_params(n, mu)) for mu in range(2 ** (n - 1))]
         xres = x_heuristic(rho, cfg)
-        frame = _factors(xres.optim.best_point, n)
-        starts += [params_to_vector(frame_phi_params(n, frame, mu)) for mu in range(2 ** (n - 1))]
+        frames = (LUParams(n, np.zeros(n), np.zeros(n)), xres.params)
+        starts = [params_to_vector(frame_phi_params(f, mu)) for f in frames for mu in range(2 ** (n - 1))]
     best = multi_start(neg, grad, angle_sampler(n, 2), cfg, starts=starts)
     return EstimateResult(
         estimate=max(0.0, -2.0 * best.best_value),

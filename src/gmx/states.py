@@ -49,8 +49,7 @@ class DensityMatrix:
 
     def check_entries(self) -> None:
         """Raise ValueError unless the matrix is 2**N x 2**N with finite entries."""
-        if self.mat.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix shape {self.mat.shape} does not match n_qubits={self.n_qubits}")
+        check_shape(self.mat, self.n_qubits)
         if not np.isfinite(self.mat).all():
             raise ValueError("density matrix has non-finite entries")
 
@@ -67,6 +66,12 @@ class DensityMatrix:
         if lo < -eig_tol:
             raise ValueError(f"density matrix not PSD: min eigenvalue {lo:.3e}")
         return self
+
+
+def check_shape(mat: np.ndarray, n_qubits: int) -> None:
+    """Raise ValueError unless ``mat`` is 2**N x 2**N: the one check the objective kernels make."""
+    if mat.shape != (2 ** n_qubits, 2 ** n_qubits):
+        raise ValueError(f"matrix shape {mat.shape} does not match n_qubits={n_qubits}")
 
 
 @dataclass(frozen=True)
@@ -239,9 +244,12 @@ def from_json_dict(doc: dict) -> DensityMatrix:
         raise ValueError(f"malformed state JSON: n_qubits must be an integer, got {n!r}")
     n = int(n)
     try:
-        mat = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
+        real, imag = np.asarray(doc["re"], dtype=float), np.asarray(doc["im"], dtype=float)
     except TypeError as exc:
         raise ValueError(f"malformed state JSON: {exc}") from None
+    if real.shape != imag.shape:
+        raise ValueError(f"malformed state JSON: re has shape {real.shape} but im has shape {imag.shape}")
+    mat = real + 1j * imag
     DensityMatrix(n, mat).check_entries()
     if herm_deviation(mat) > HERM_TOL:
         raise ValueError("JSON density matrix is not Hermitian")

@@ -181,6 +181,8 @@ def test_kernels_reject_shapes_they_do_not_take():
                 kernel(bad)
     with pytest.raises(ValueError, match="factors"):
         apply_local(rho.mat, np.zeros((2, 2, 3, 2, 2)))
+    with pytest.raises(ValueError, match=r"matrix shape \(8, 8\) does not match n_qubits=2"):
+        make_penalty_problem(rho.mat, 2)
 
 
 def test_phi_kernels_reject_shapes_they_do_not_take():
@@ -192,6 +194,11 @@ def test_phi_kernels_reject_shapes_they_do_not_take():
         for bad in bad_shapes(12):
             with pytest.raises(ValueError, match=r"expected a point \(12,\) or a stack \(k, 12\)"):
                 kernel(bad)
+    # An 8x8 matrix given as two qubits: the check names both before numpy fails to reshape.
+    for kernel in (make_phi_problem, lambda mat, n: i_phi_from_vector(mat, np.zeros(4 * n), n),
+                   lambda mat, n: i_phi_gradient(mat, np.zeros(4 * n), n)):
+        with pytest.raises(ValueError, match=r"matrix shape \(8, 8\) does not match n_qubits=2"):
+            kernel(rho.mat, 2)
 
 
 def test_factors_match_the_per_qubit_formula_bit_for_bit():
@@ -199,11 +206,13 @@ def test_factors_match_the_per_qubit_formula_bit_for_bit():
     for _ in range(200):
         n = int(rng.integers(1, 9))
         x = rng.uniform(-10.0, 10.0, 2 * n)
-        c, s, e = np.cos(x[:n]), np.sin(x[:n]), np.exp(1j * x[n:])
+        c, s, e = trig = np.cos(x[:n]), np.sin(x[:n]), np.exp(1j * x[n:])
         expected = np.stack([c, s * e, -s * np.conj(e), c], axis=-1).reshape(n, 2, 2)
-        assert _factors(x, n).tobytes() == expected.tobytes()
+        got_trig, factors = _factors(x, n)
+        assert factors.tobytes() == expected.tobytes()
+        assert [t.tobytes() for t in got_trig] == [t.tobytes() for t in trig]
     xs = rng.uniform(-10.0, 10.0, (4, 6))
-    assert all(row.tobytes() == _factors(x, 3).tobytes() for row, x in zip(_factors(xs, 3), xs))
+    assert all(row.tobytes() == _factors(x, 3)[1].tobytes() for row, x in zip(_factors(xs, 3)[1], xs))
 
 
 @pytest.mark.parametrize("n", range(2, 9))

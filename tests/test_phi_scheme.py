@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmx.lugroup import LUParams, _factors, conjugate, fd_gradient
+from gmx.lugroup import LUParams, conjugate, fd_gradient
 from gmx.optim import OptimConfig
 from gmx.phi_scheme import (
     PhiParams,
@@ -84,19 +84,36 @@ def test_i_phi_mu_params_reproduce_projection_scores():
 
 
 def test_frame_params_transfer_rotated_frame_scores():
-    rng = np.random.default_rng(22)
-    for trial in range(5):
-        n = int(rng.integers(2, 5))
+    # 400 draws: a numerical inverse of the frame's factor rows misses some scores by 1.2e-14.
+    rng = np.random.default_rng(23)
+    for trial in range(400):
+        n = int(rng.integers(2, 6))
         rho = random_density_matrix(n, int(rng.integers(1, 2 ** n + 1)), seed=trial + 50)
-        x = np.concatenate([rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n)])
-        rotated = conjugate(rho, LUParams(n, x[:n], x[n:]))
-        xp = x_projection(rotated)
+        frame = LUParams(n, rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n))
+        xp = x_projection(conjugate(rho, frame))
         s = np.sqrt(np.clip(xp.a * xp.b, 0.0, None))
         scores = xp.r - (s.sum() - s)
-        frame = _factors(x, n)
-        for mu in range(2 ** (n - 1)):
-            got = i_phi(rho, frame_phi_params(n, frame, mu))
-            assert got == pytest.approx(float(scores[mu]), abs=1e-13)
+        got = [i_phi(rho, frame_phi_params(frame, mu)) for mu in range(2 ** (n - 1))]
+        assert got == pytest.approx(scores, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pair_params_are_the_identity_frame_seeds(n):
+    # V sends |0..0> to |mu> and W to its complement: quarter turns on the flipped qubits only.
+    for mu in range(2 ** (n - 1)):
+        bits = np.array([(mu >> (n - j)) & 1 for j in range(1, n + 1)], dtype=float)
+        expected = np.concatenate([bits * (np.pi / 2), np.zeros(n), (1.0 - bits) * (np.pi / 2), np.zeros(n)])
+        assert params_to_vector(phi_mu_params(n, mu)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_frame_params_reject_pairs_outside_the_frame(n):
+    frame = LUParams(n, np.full(n, 0.3), np.full(n, 1.1))
+    for mu in (-1, 2 ** (n - 1), 2 ** n):
+        with pytest.raises(ValueError, match=f"mu={mu} out of range"):
+            frame_phi_params(frame, mu)
+        with pytest.raises(ValueError, match=f"mu={mu} out of range"):
+            phi_mu_params(n, mu)
 
 
 def test_exact_gradient_matches_central_differences():

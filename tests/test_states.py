@@ -206,6 +206,11 @@ def test_json_round_trip():
 def test_json_rejects_bad_shape_and_non_hermitian():
     with pytest.raises(ValueError, match="shape"):
         from_json_dict({"n_qubits": 2, "re": [[1.0]], "im": [[0.0]]})
+    # Broadcast together, either imaginary part would load the maximally mixed state.
+    mixed = (np.eye(4) / 4).tolist()
+    for im, shape in (([[0, 0, 0, 0]], r"\(1, 4\)"), (0, r"\(\)")):
+        with pytest.raises(ValueError, match=rf"re has shape \(4, 4\) but im has shape {shape}"):
+            from_json_dict({"n_qubits": 2, "re": mixed, "im": im})
     bad = {
         "n_qubits": 1,
         "re": [[1.0, 0.5], [0.0, 0.0]],
