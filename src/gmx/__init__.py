@@ -17,14 +17,7 @@ from .states import (
 )
 from .xform import XParams, gm_lower_bound_x, penalty_f, phi_mu_bound, x_concurrence, x_projection
 from .lugroup import LUParams, assemble, conjugate, grad_penalty, su2
-from .phi_scheme import (
-    Bipartition,
-    EstimateResult,
-    PhiParams,
-    c_phi_estimate,
-    enumerate_bipartitions,
-    i_phi,
-)
+from .phi_scheme import EstimateResult, PhiParams, c_phi_estimate, i_phi
 from .wootters import wootters_concurrence, verify_dicke2_equality
 from .heuristic import XHeuristicResult, stationary_check, x_heuristic
 from .bench import SweepRecord, TimingSummary, bench_timing, sweep
@@ -38,7 +31,7 @@ __all__ = [
     "random_density_matrix", "tau_populations",
     "XParams", "gm_lower_bound_x", "penalty_f", "phi_mu_bound", "x_concurrence", "x_projection",
     "LUParams", "assemble", "conjugate", "grad_penalty", "su2",
-    "Bipartition", "EstimateResult", "PhiParams", "c_phi_estimate", "enumerate_bipartitions", "i_phi",
+    "EstimateResult", "PhiParams", "c_phi_estimate", "i_phi",
     "wootters_concurrence", "verify_dicke2_equality",
     "XHeuristicResult", "stationary_check", "x_heuristic",
     "SweepRecord", "TimingSummary", "bench_timing", "sweep",

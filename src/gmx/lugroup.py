@@ -110,6 +110,7 @@ def apply_local(mat: np.ndarray, factors) -> np.ndarray:
     factors = np.asarray(factors)
     if factors.ndim not in (3, 4) or factors.shape[-2:] != (2, 2):
         raise ValueError(f"factors must be (N, 2, 2) or (k, N, 2, 2), got shape {factors.shape}")
+    check_shape(mat, factors.shape[-3])
     shape = factors.shape[:-3] + mat.shape
     mat_h = np.conjugate(mat.T, out=np.empty_like(mat))
     return _sandwich(mat_h, factors, np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))

@@ -85,6 +85,8 @@ class DiagSymParams:
         p = np.asarray(self.populations, dtype=float)
         if p.shape != (self.n_qubits + 1,):
             raise ValueError(f"expected {self.n_qubits + 1} populations, got {p.shape}")
+        if not np.isfinite(p).all():
+            raise ValueError(f"populations must be finite, got {p}")
         if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
             raise ValueError("populations must lie in [0, 1]")
         if abs(p.sum() - 1.0) > 1e-12:
@@ -240,7 +242,8 @@ def from_json_dict(doc: dict) -> DensityMatrix:
     if missing:
         raise ValueError(f"state JSON lacks the key(s) {', '.join(missing)}")
     n = doc["n_qubits"]
-    if not (isinstance(n, numbers.Integral) or isinstance(n, float) and n.is_integer()):
+    # A JSON true is a bool, and a bool an Integral.
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) or isinstance(n, float) and n.is_integer()):
         raise ValueError(f"malformed state JSON: n_qubits must be an integer, got {n!r}")
     n = int(n)
     try:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from gmx.states import DensityMatrix, random_density_matrix
@@ -56,3 +58,38 @@ def qubit_permutation_matrix(n: int, perm: tuple[int, ...]) -> np.ndarray:
         new_idx = sum(b << (n - 1 - j) for j, b in enumerate(new_bits))
         p[new_idx, idx] = 1.0
     return p
+
+
+def reference_witness(mat: np.ndarray, x: np.ndarray, n: int) -> float:
+    """The product-state witness at packed angles ``x``, written out as the phi_scheme docstring defines it.
+
+    Each V and W enters through its first column (cos theta, -sin theta e^{-i phi}), every
+    product vector is an ``np.kron`` chain, and the bipartitions come from
+    ``itertools.combinations``, with qubit 1 on side A and side B never empty.
+    """
+    x = np.asarray(x, dtype=float)
+
+    def column(theta, phi):
+        return np.array([np.cos(theta), -np.sin(theta) * np.exp(-1j * phi)])
+
+    v = [column(x[q], x[n + q]) for q in range(n)]
+    w = [column(x[2 * n + q], x[3 * n + q]) for q in range(n)]
+
+    def product(side_w):
+        """kron over qubits of W's column on ``side_w`` and V's elsewhere."""
+        vec = np.ones(1, dtype=complex)
+        for q in range(n):
+            vec = np.kron(vec, w[q] if q in side_w else v[q])
+        return vec
+
+    def expectation(vec):
+        return np.vdot(vec, mat @ vec).real
+
+    value = abs(np.vdot(product(range(n)), mat @ product(())))
+    for size in range(n - 1):
+        for rest in itertools.combinations(range(1, n), size):
+            side_a = (0, *rest)
+            side_b = tuple(q for q in range(n) if q not in side_a)
+            # Rounding can leave a zero product a hair below zero.
+            value -= np.sqrt(max(expectation(product(side_a)) * expectation(product(side_b)), 0.0))
+    return float(value)

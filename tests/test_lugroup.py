@@ -181,8 +181,9 @@ def test_kernels_reject_shapes_they_do_not_take():
                 kernel(bad)
     with pytest.raises(ValueError, match="factors"):
         apply_local(rho.mat, np.zeros((2, 2, 3, 2, 2)))
-    with pytest.raises(ValueError, match=r"matrix shape \(8, 8\) does not match n_qubits=2"):
-        make_penalty_problem(rho.mat, 2)
+    for kernel in (make_penalty_problem, lambda mat, n: apply_local(mat, np.tile(np.eye(2), (n, 1, 1)))):
+        with pytest.raises(ValueError, match=r"matrix shape \(8, 8\) does not match n_qubits=2"):
+            kernel(rho.mat, 2)
 
 
 def test_phi_kernels_reject_shapes_they_do_not_take():
@@ -199,6 +200,9 @@ def test_phi_kernels_reject_shapes_they_do_not_take():
                    lambda mat, n: i_phi_gradient(mat, np.zeros(4 * n), n)):
         with pytest.raises(ValueError, match=r"matrix shape \(8, 8\) does not match n_qubits=2"):
             kernel(rho.mat, 2)
+        # One qubit has no bipartition, so no witness.
+        with pytest.raises(ValueError, match="needs at least two qubits, got n_qubits=1"):
+            kernel(np.eye(2) / 2, 1)
 
 
 def test_factors_match_the_per_qubit_formula_bit_for_bit():

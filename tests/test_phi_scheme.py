@@ -6,9 +6,9 @@ from gmx.optim import OptimConfig
 from gmx.phi_scheme import (
     PhiParams,
     c_phi_estimate,
-    enumerate_bipartitions,
     frame_phi_params,
     i_phi,
+    i_phi_from_vector,
     i_phi_gradient,
     make_phi_problem,
     params_to_vector,
@@ -25,7 +25,7 @@ from gmx.states import (
     tau_populations,
 )
 from gmx.xform import gm_lower_bound_x, phi_mu_bound, x_concurrence, x_projection
-from helpers import ghz, random_states
+from helpers import ghz, random_states, reference_witness
 
 CFG = OptimConfig(restarts=4, seed=7)
 
@@ -40,31 +40,17 @@ def identity_params(n):
     return PhiParams(n, np.zeros(2 * n), np.zeros(2 * n))
 
 
-def test_enumerate_bipartitions_counts():
-    assert len(enumerate_bipartitions(2)) == 1
-    assert len(enumerate_bipartitions(3)) == 3
-    assert len(enumerate_bipartitions(5)) == 15
-
-
-def test_enumerate_bipartitions_three_qubits_explicit():
-    got = {(bp.a_side, bp.b_side) for bp in enumerate_bipartitions(3)}
-    assert got == {((1,), (2, 3)), ((1, 2), (3,)), ((1, 3), (2,))}
-
-
-def test_enumerate_bipartitions_no_duplicates_under_swap():
-    seen = set()
-    for bp in enumerate_bipartitions(5):
-        key = frozenset([bp.a_side, bp.b_side])
-        assert key not in seen
-        seen.add(key)
-        assert 1 in bp.a_side
-        assert set(bp.a_side) | set(bp.b_side) == set(range(1, 6))
-        assert bp.b_side
-
-
-def test_enumerate_bipartitions_rejects_single_qubit():
-    with pytest.raises(ValueError):
-        enumerate_bipartitions(1)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_witness_matches_the_reference_at_random_points(n):
+    # The reference enumerates the bipartitions with itertools and builds every product
+    # vector with np.kron; the kernel reads them as table rows m and 2**n - 1 - m.
+    rng = np.random.default_rng(1800 + n)
+    for rank in (1, 2, 2 ** n):
+        rho = random_density_matrix(n, rank, seed=180 + 10 * n + rank)
+        xs = rng.uniform(-2 * np.pi, 2 * np.pi, (20, 4 * n))
+        got = i_phi_from_vector(rho.mat, xs, n)
+        want = [reference_witness(rho.mat, x, n) for x in xs]
+        assert np.abs(got - want).max() <= 1e-14
 
 
 def test_i_phi_identity_params_maximally_mixed():

@@ -60,6 +60,9 @@ def test_diagonal_symmetric_matches_reference_tables(n):
 def test_diagonal_symmetric_rejects_bad_populations():
     with pytest.raises(ValueError, match="sum"):
         diagonal_symmetric(DiagSymParams(2, np.array([0.5, 0.4, 0.2])))
+    # Every comparison with NaN is False: unchecked, this built an all-NaN matrix.
+    with pytest.raises(ValueError, match="finite"):
+        diagonal_symmetric(DiagSymParams(2, np.array([np.nan, 0.5, 0.5])))
 
 
 def test_diagonal_symmetric_permutation_symmetry():
@@ -240,7 +243,8 @@ def test_json_rejects_malformed_documents():
 
 def test_json_accepts_only_integral_qubit_counts():
     doc = to_json_dict(dicke_steady_state(DickeParams(2, 1.4)))
-    for value in (2.7, 2.5, float("nan"), float("inf"), "2"):
+    # A JSON true is a Python bool, which is an Integral equal to 1.
+    for value in (2.7, 2.5, float("nan"), float("inf"), "2", True, False):
         with pytest.raises(ValueError, match="n_qubits must be an integer"):
             from_json_dict({**doc, "n_qubits": value})
     for value in (2, 2.0, np.int64(2)):
