@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .matcore import HermEig, herm_eig, kron, psd_sqrt
+from .matcore import kron, psd_sqrt
 from .optim import OptimConfig, OptimResult, bfgs_minimize, multi_start
 from .states import (
     DensityMatrix,
@@ -15,7 +15,7 @@ from .states import (
     random_density_matrix,
     tau_populations,
 )
-from .xform import XParams, gm_lower_bound_x, penalty_f, phi_mu_bound, x_concurrence, x_projection
+from .xform import XParams, gm_lower_bound_x, penalty_f, x_concurrence, x_projection
 from .lugroup import LUParams, assemble, conjugate, grad_penalty, su2
 from .phi_scheme import EstimateResult, PhiParams, c_phi_estimate, i_phi
 from .wootters import wootters_concurrence, verify_dicke2_equality
@@ -24,12 +24,12 @@ from .bench import SweepRecord, TimingSummary, bench_timing, sweep
 
 __all__ = [
     "__version__",
-    "HermEig", "herm_eig", "kron", "psd_sqrt",
+    "kron", "psd_sqrt",
     "OptimConfig", "OptimResult", "bfgs_minimize", "multi_start",
     "DensityMatrix", "DiagSymParams", "DickeParams",
     "collective_ops", "dicke_state", "dicke_steady_state", "diagonal_symmetric",
     "random_density_matrix", "tau_populations",
-    "XParams", "gm_lower_bound_x", "penalty_f", "phi_mu_bound", "x_concurrence", "x_projection",
+    "XParams", "gm_lower_bound_x", "penalty_f", "x_concurrence", "x_projection",
     "LUParams", "assemble", "conjugate", "grad_penalty", "su2",
     "EstimateResult", "PhiParams", "c_phi_estimate", "i_phi",
     "wootters_concurrence", "verify_dicke2_equality",

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .heuristic import x_heuristic
-from .optim import OptimConfig
+from .optim import MAX_ITERS, OptimConfig
 from .phi_scheme import c_phi_estimate
 from .states import PRNG_NAME, DensityMatrix, DickeParams, dicke_steady_state, diagonal_symmetric, tau_populations
 
@@ -119,11 +119,21 @@ def sweep(family: str, n: int, grid, cfg: OptimConfig, include_phi: bool = False
     ]
 
 
+def _check_points(n_points: int) -> None:
+    if n_points < 0:
+        raise ValueError(f"a grid needs a non-negative number of points, got {n_points}")
+
+
 def default_tau_grid(n_points: int) -> np.ndarray:
+    _check_points(n_points)
     return np.linspace(0.0, 1.0, n_points)
 
 
 def default_gamma_grid(lo: float = 0.1, hi: float = 20.0, n_points: int = 60) -> np.ndarray:
+    if not all(np.isfinite(v) and v > 0 for v in (lo, hi)):
+        raise ValueError(f"gamma grid bounds must be finite and positive, got {lo!r} and {hi!r} "
+                         "(gamma = 0 is a valid state, but a log grid cannot hold it)")
+    _check_points(n_points)
     return np.geomspace(lo, hi, n_points)
 
 
@@ -224,9 +234,8 @@ def run_manifest(cfg: OptimConfig, extra: dict | None = None) -> dict:
     """Reproducibility record written next to every CSV artifact."""
     doc = {
         "seed": cfg.seed,
-        "tol_x": cfg.tol_x,
-        "tol_fun": cfg.tol_fun,
-        "max_iters": cfg.max_iters,
+        "tol": cfg.tol,
+        "max_iters": MAX_ITERS,
         "restarts": cfg.restarts,
         "prng": PRNG_NAME,
         "line_search": "strong Wolfe, c1=1e-4, c2=0.9",

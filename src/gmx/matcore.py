@@ -9,7 +9,6 @@ are cheap; nothing in this module tries to exploit sparsity.
 from __future__ import annotations
 
 from functools import reduce
-from typing import NamedTuple
 
 import numpy as np
 
@@ -18,17 +17,6 @@ HERM_TOL = 1e-10
 # Most negative eigenvalue tolerated before an operator is rejected as
 # non-positive-semidefinite.
 PSD_TOL = 1e-8
-
-
-class HermEig(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; the columns of ``eigenvectors``
-    are the matching orthonormal eigenvectors.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -63,45 +51,20 @@ def kron_all(factors) -> np.ndarray:
     return reduce(_kron_pair, factors) if len(factors) else np.eye(1, dtype=complex)
 
 
-def herm_eig(a: np.ndarray, tol: float = HERM_TOL) -> HermEig:
-    """Full eigendecomposition of a Hermitian matrix.
+def psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """Hermitian square root of a positive-semidefinite matrix.
 
-    Parameters
-    ----------
-    a : ndarray
-        Square matrix, Hermitian to within ``tol``.
-    tol : float
-        Entrywise Hermiticity tolerance.
-
-    Returns
-    -------
-    HermEig
-        Real eigenvalues in ascending order and an orthonormal
-        eigenvector matrix (columns).
-
-    Raises
-    ------
-    ValueError
-        If ``a`` deviates from Hermiticity by more than ``tol``.
+    ``a`` must be Hermitian to within ``HERM_TOL`` entrywise.  Eigenvalues in
+    ``[-PSD_TOL, 0)`` are clamped to zero; anything below raises.  The output
+    ``s`` is Hermitian, PSD and satisfies ``s @ s == a`` to about 1e-9.
     """
     a = np.asarray(a, dtype=complex)
     dev = herm_deviation(a)
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian: max |a - a^dag| = {dev:.3e} > {tol:.1e}")
+    if dev > HERM_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |a - a^dag| = {dev:.3e} > {HERM_TOL:.1e}")
     w, v = np.linalg.eigh(hermitize(a))
-    return HermEig(eigenvalues=w, eigenvectors=v)
-
-
-def psd_sqrt(a: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    """Hermitian square root of a positive-semidefinite matrix.
-
-    Eigenvalues in ``[-HERM_TOL, 0)`` are clamped to zero; anything below
-    ``-tol`` raises.  The output ``s`` is Hermitian, PSD and satisfies
-    ``s @ s == a`` to about 1e-9.
-    """
-    w, v = herm_eig(a)
     lo = float(w.min())
-    if lo < -tol:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {lo:.3e} < -{tol:.1e}")
+    if lo < -PSD_TOL:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {lo:.3e} < -{PSD_TOL:.1e}")
     s = np.sqrt(np.clip(w, 0.0, None))
     return hermitize((v * s) @ v.conj().T)

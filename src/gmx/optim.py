@@ -2,9 +2,9 @@
 
 ``bfgs_minimize`` is a dense inverse-Hessian BFGS with a strong-Wolfe line
 search (c1 = 1e-4, c2 = 0.9).  It terminates when the accepted step norm
-drops below ``tol_x``, the objective decrease drops below ``tol_fun``, or
-the iteration cap is reached; a failed line search returns the best point
-found with ``converged = False`` instead of raising.  ``multi_start`` runs
+or the objective decrease drops below ``tol``, or after ``MAX_ITERS``
+iterations; a failed line search returns the best point found with
+``converged = False`` instead of raising.  ``multi_start`` runs
 it from caller-supplied starts plus ``restarts`` points sampled from
 independent ``(seed, index)`` substreams as one stack of runs (``_Runs``);
 ``bfgs_minimize`` is the stack of one.
@@ -24,26 +24,23 @@ WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 _MAX_BRACKET = 20
 _MAX_ZOOM = 30
+MAX_ITERS = 10_000
 
 
 @dataclass(frozen=True)
 class OptimConfig:
-    tol_x: float = 1e-11
-    tol_fun: float = 1e-11
-    max_iters: int = 10_000
+    tol: float = 1e-11  # on the step norm, the decrease and a flat line search alike
     restarts: int = 20
     seed: int = 0
 
     def validate(self) -> "OptimConfig":
-        for name in ("max_iters", "restarts", "seed"):
+        for name in ("restarts", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not all(math.isfinite(t) and t > 0 for t in (self.tol_x, self.tol_fun)):
-            raise ValueError(f"tolerances must be finite and positive, got {self.tol_x!r}, {self.tol_fun!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         return self
@@ -184,7 +181,7 @@ class _Runs:
         for j, run in enumerate(self.live):
             if run.want == _END:
                 # No Wolfe step: end at the best step seen if it descends.
-                run.converged, run.want = run.dev < self.cfg.tol_fun, _DONE
+                run.converged, run.want = run.dev < self.cfg.tol, _DONE
                 run.status = "flat" if run.converged else "fail"
                 if not run.converged and math.isfinite(run.best_f) and run.best_f < run.f:
                     self.x[j], run.f = self.x[j] + run.best_a * self.d[j], run.best_f
@@ -222,8 +219,8 @@ class _Runs:
             if ok[j]:
                 decrease, run.f, run.status, run.first = run.f - run.fa, run.fa, "ok", False
                 self.history.append(run.f)
-                done = step[j] < self.cfg.tol_x or decrease < self.cfg.tol_fun
-                if done or run.iters == self.cfg.max_iters:
+                done = step[j] < self.cfg.tol or decrease < self.cfg.tol
+                if done or run.iters == MAX_ITERS:
                     run.converged, run.want = done, _DONE
                 else:
                     run.iters += 1
@@ -236,7 +233,7 @@ class _Runs:
             if go[j] and slope >= 0.0:
                 # Corrupted curvature (possible on nonsmooth objectives): fall back to steepest descent.
                 self.h[j], d[j], slope = self.eye, -self.g[j], -float(self.g[j] @ self.g[j])
-            if go[j] and slope == 0.0:  # exactly stationary; step norm is 0 < tol_x
+            if go[j] and slope == 0.0:  # exactly stationary; step norm is 0 < tol
                 self.live[j].converged, self.live[j].want = True, _DONE
             elif go[j]:
                 self.live[j].search(slope)

@@ -53,7 +53,7 @@ class DensityMatrix:
         if not np.isfinite(self.mat).all():
             raise ValueError("density matrix has non-finite entries")
 
-    def validate(self, eig_tol: float = 1e-10) -> "DensityMatrix":
+    def validate(self) -> "DensityMatrix":
         """Raise ValueError unless Hermitian/trace-one/PSD within tolerance."""
         self.check_entries()
         dev = herm_deviation(self.mat)
@@ -63,7 +63,7 @@ class DensityMatrix:
         if abs(tr - 1.0) > 1e-12:
             raise ValueError(f"density matrix trace {tr} != 1")
         lo = float(np.linalg.eigvalsh(hermitize(self.mat)).min())
-        if lo < -eig_tol:
+        if lo < -1e-10:
             raise ValueError(f"density matrix not PSD: min eigenvalue {lo:.3e}")
         return self
 
@@ -248,7 +248,7 @@ def from_json_dict(doc: dict) -> DensityMatrix:
     n = int(n)
     try:
         real, imag = np.asarray(doc["re"], dtype=float), np.asarray(doc["im"], dtype=float)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # a None, a string or a ragged row
         raise ValueError(f"malformed state JSON: {exc}") from None
     if real.shape != imag.shape:
         raise ValueError(f"malformed state JSON: re has shape {real.shape} but im has shape {imag.shape}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +35,9 @@ class XParams:
     def n_pairs(self) -> int:
         return 2 ** (self.n_qubits - 1)
 
-    def is_valid_x_state(self, tol: float = 1e-10) -> bool:
-        """True when the parameters define a bona fide X-density matrix."""
+    def is_valid_x_state(self) -> bool:
+        """True when the parameters define a bona fide X-density matrix, to within 1e-10."""
+        tol = 1e-10
         if np.any(self.a < -tol) or np.any(self.b < -tol) or np.any(self.r < -tol):
             return False
         if abs(self.a.sum() + self.b.sum() - 1.0) > tol:
@@ -120,30 +120,3 @@ def penalty_f(rho: DensityMatrix) -> float:
 def gm_lower_bound_x(rho: DensityMatrix) -> float:
     """Certified GM-concurrence lower bound from the X projection of ``rho``."""
     return x_concurrence(x_projection(rho))
-
-
-class PhiMuBound(NamedTuple):
-    value: float
-    best_mu: int
-
-
-def phi_mu_bound(rho: DensityMatrix) -> PhiMuBound:
-    """Best lower bound over the anti-diagonal product-state family.
-
-    For each ``mu`` in ``0..2**(N-1)-1`` the witnessed quantity is
-    ``|rho[mu, D-1-mu]| - sum_{nu != mu} sqrt(rho[nu,nu] rho[D-1-nu,D-1-nu])``
-    with D = 2**N; the result is ``max[0, 2 max_mu(...)]`` together with
-    the smallest maximizing ``mu``.  Agrees exactly with
-    :func:`gm_lower_bound_x` (the structural identity tested in the suite).
-    """
-    m = rho.mat
-    dim = m.shape[0]
-    n = dim // 2
-    idx = np.arange(n)
-    diag = m[np.arange(dim), np.arange(dim)].real
-    s = np.sqrt(np.clip(diag[idx] * diag[dim - 1 - idx], 0.0, None))
-    total = s.sum()
-    r = np.abs(m[idx, dim - 1 - idx])
-    scores = r - (total - s)
-    best_mu = int(np.argmax(scores))
-    return PhiMuBound(value=max(0.0, 2.0 * float(scores[best_mu])), best_mu=best_mu)

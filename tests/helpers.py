@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 
+from gmx.phi_scheme import i_phi_from_vector, params_to_vector, phi_mu_params
 from gmx.states import DensityMatrix, random_density_matrix
 
 
@@ -25,6 +26,13 @@ def random_states(counts: dict[int, int], seed0: int = 0):
         for k in range(count):
             rank = (k % (2 ** n)) + 1
             yield random_density_matrix(n, rank, seed=seed0 + 7919 * n + k)
+
+
+def pair_seed_witness(rho: DensityMatrix) -> np.ndarray:
+    """The product-state witness at each anti-diagonal pair seed ``phi_mu_params(n, mu)``, mu < 2**(n-1)."""
+    n = rho.n_qubits
+    seeds = np.stack([params_to_vector(phi_mu_params(n, mu)) for mu in range(2 ** (n - 1))])
+    return i_phi_from_vector(rho.mat, seeds, n)
 
 
 def circular_distance(angle: float, target: float, period: float) -> float:

@@ -143,8 +143,9 @@ def test_bench_timing_budget_marks_incomplete():
 
 def test_run_manifest_keys():
     doc = run_manifest(CFG, extra={"command": "test"})
-    for key in ("seed", "tol_x", "tol_fun", "restarts", "prng", "line_search", "build", "command"):
+    for key in ("seed", "tol", "max_iters", "restarts", "prng", "line_search", "build", "command"):
         assert key in doc
+    assert "tol_x" not in doc and "tol_fun" not in doc
 
 
 def test_run_manifest_build_ignores_working_directory(monkeypatch, tmp_path):
@@ -263,6 +264,10 @@ def test_cli_verify_takes_no_optimizer_flags():
     ["bench", "--family", "ds", "--n", "16", "--param", "0.5", "--method", "x"],
     ["bench", "--family", "dicke", "--n", "1", "--param", "1.0", "--method", "x"],
     ["bench", "--family", "ds", "--n", "9", "--param", "0.5", "--method", "phi"],
+    ["estimate", "--state", "{ragged_re}"],
+    ["estimate", "--state", "{string_re}"],
+    ["sweep-ds", "--n", "2", "--points", "-1"],
+    ["sweep-dicke", "--n", "3", "--gamma-max", "0"],
 ])
 def test_cli_input_errors_end_like_argparse_errors(tmp_path, args):
     doc = to_json_dict(make_state("ds", 2, 0.3))
@@ -274,6 +279,8 @@ def test_cli_input_errors_end_like_argparse_errors(tmp_path, args):
         "null_n": tmp_path / "null_n.json",
         "null_re": tmp_path / "null_re.json",
         "fractional_n": tmp_path / "fractional_n.json",
+        "ragged_re": tmp_path / "ragged_re.json",
+        "string_re": tmp_path / "string_re.json",
     }
     paths["no_re"].write_text(json.dumps({k: v for k, v in doc.items() if k != "re"}))
     paths["not_object"].write_text("3")
@@ -282,10 +289,22 @@ def test_cli_input_errors_end_like_argparse_errors(tmp_path, args):
     null_re[0][0] = None
     paths["null_re"].write_text(json.dumps({**doc, "re": null_re}))
     paths["fractional_n"].write_text(json.dumps({**doc, "n_qubits": 2.7}))
+    paths["ragged_re"].write_text(json.dumps({**doc, "re": [doc["re"][0], doc["re"][1][:2], *doc["re"][2:]]}))
+    string_re = [row[:] for row in doc["re"]]
+    string_re[0][0] = "a"
+    paths["string_re"].write_text(json.dumps({**doc, "re": string_re}))
     proc = run_cli(*(a.format(**paths) for a in args))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1].startswith("gmx: error: ")
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("gmx: error: ")
+    # Where numpy would have had the last word, the message is the library's own.
+    for marker, message in (("{ragged_re}", "malformed state JSON: "), ("{string_re}", "malformed state JSON: "),
+                            ("-1", "a grid needs a non-negative number of points, got -1"),
+                            ("--gamma-min", "gamma grid bounds must be finite and positive"),
+                            ("--gamma-max", "gamma grid bounds must be finite and positive")):
+        if marker in args:
+            assert last.startswith("gmx: error: " + message), last
     # Rejected before any output: no CSV header, no file.
     assert proc.stdout == ""
     assert not paths["csv"].exists()
@@ -303,8 +322,8 @@ def test_cli_gmx_tol_env(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((tmp_path / "s.manifest.json").read_text())
-    assert manifest["tol_x"] == 1e-9
-    assert manifest["tol_fun"] == 1e-9
+    assert manifest["tol"] == 1e-9
+    assert manifest["max_iters"] == 10_000
 
     # Config errors end like argparse errors: one "gmx: error:" line, status 2.
     for tol, extra in (("abc", []), ("-1", []), ("1e-9", ["--restarts", "-1"])):

@@ -24,8 +24,8 @@ def estimate_columns(line: str) -> str:
 
 
 def test_sweep_ds_estimate_columns_match_golden_file():
-    # The CLI's sweep-ds configuration: default tolerances, 8 restarts.
-    cfg = OptimConfig(tol_x=1e-11, tol_fun=1e-11, max_iters=10_000, restarts=8, seed=7)
+    # The CLI's sweep-ds configuration: the default tolerance, 8 restarts.
+    cfg = OptimConfig(tol=1e-11, restarts=8, seed=7)
     records = sweep("ds", 3, default_tau_grid(6), cfg, include_phi=True)
     got = [estimate_columns(CSV_HEADER)] + [estimate_columns(r.csv_row()) for r in records]
     assert got == GOLDEN.read_text().splitlines()

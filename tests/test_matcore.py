@@ -3,7 +3,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from gmx.matcore import HERM_TOL, herm_eig, hermitize, kron, kron_all, psd_sqrt
+from gmx.matcore import HERM_TOL, hermitize, kron, kron_all, psd_sqrt
 from helpers import loop_kron
 
 I2 = np.eye(2, dtype=complex)
@@ -75,37 +75,14 @@ def test_kron_all_of_stacked_factors_equals_each_np_kron_chain_bit_for_bit(count
         assert product.tobytes() == reduce(np.kron, factors).tobytes()
 
 
-def test_herm_eig_diagonal():
-    res = herm_eig(np.diag([3.0, 1.0, 2.0]).astype(complex))
-    assert np.allclose(res.eigenvalues, [1.0, 2.0, 3.0], atol=1e-12)
-
-
-def test_herm_eig_pauli_x():
-    res = herm_eig(SX)
-    assert np.allclose(res.eigenvalues, [-1.0, 1.0], atol=1e-12)
-
-
-def test_herm_eig_reconstruction_and_invariants():
-    rng = np.random.default_rng(4)
-    a = random_hermitian(rng, 8)
-    res = herm_eig(a)
-    v, w = res.eigenvectors, res.eigenvalues
-    assert np.abs((v * w) @ v.conj().T - a).max() < 1e-10
-    # eigenvector equations and orthonormality
-    assert np.abs(a @ v - v * w).max() < 1e-10
-    assert np.abs(v.conj().T @ v - np.eye(8)).max() < 1e-10
-    # ascending order and trace identity
-    assert np.all(np.diff(w) >= -1e-14)
-    assert abs(w.sum() - np.trace(a).real) < 1e-10
-
-
-def test_herm_eig_rejects_non_hermitian():
+def test_psd_sqrt_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="not Hermitian"):
-        herm_eig(bad)
-    # within tolerance is accepted
-    almost = SX + 0.5 * HERM_TOL * np.array([[0, 1j], [0, 0]])
-    herm_eig(almost)
+        psd_sqrt(bad)
+    # Within HERM_TOL it is accepted, and the root is that of the Hermitian part.
+    almost = np.eye(2) + 0.5 * HERM_TOL * np.array([[0, 1j], [0, 0]])
+    s = psd_sqrt(almost)
+    assert np.abs(s @ s - hermitize(almost)).max() < 1e-15
 
 
 def test_psd_sqrt_identity_and_diagonal():

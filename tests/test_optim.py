@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gmx import optim
 from gmx.lugroup import make_penalty_problem
 from gmx.optim import OptimConfig, bfgs_minimize, multi_start
 from gmx.states import diagonal_symmetric, tau_populations
@@ -81,8 +82,9 @@ def test_bfgs_requires_finite_start():
         bfgs_minimize(f, g, np.zeros(1), CFG)
 
 
-def test_bfgs_iteration_cap():
-    cfg = OptimConfig(max_iters=3, restarts=1, seed=0)
+def test_bfgs_iteration_cap(monkeypatch):
+    monkeypatch.setattr(optim, "MAX_ITERS", 3)
+    cfg = OptimConfig(restarts=1, seed=0)
     res = bfgs_minimize(rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0, -1.2, 1.0]), cfg)
     assert res.iterations == 3
 
@@ -97,7 +99,7 @@ def test_multi_start_single_basin_matches_single_run():
     multi = multi_start(f, g, sampler_1d(-2, 2), OptimConfig(restarts=5, seed=1))
     assert multi.best_value == pytest.approx(single.best_value, abs=1e-12)
     assert multi.restarts_used == 5
-    assert multi.iterations <= CFG.max_iters * multi.restarts_used
+    assert multi.iterations <= optim.MAX_ITERS * multi.restarts_used
 
 
 def double_well(x):
@@ -155,18 +157,15 @@ def test_multi_start_callback_sees_every_run():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        OptimConfig(tol_x=0.0).validate()
-    with pytest.raises(ValueError):
-        OptimConfig(max_iters=0).validate()
+        OptimConfig(tol=0.0).validate()
     with pytest.raises(ValueError):
         OptimConfig(seed=-1).validate()
     # A NaN tolerance would switch off both stopping tests.
-    for bad in ({"restarts": -5}, {"tol_x": float("nan")}, {"tol_x": float("inf")},
-                {"tol_fun": float("nan")}):
+    for bad in ({"restarts": -5}, {"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1e-9}):
         with pytest.raises(ValueError):
             OptimConfig(**bad).validate()
     # Counts that are not integers would fail later, inside range() or numpy's seeding.
-    for name, bad in (("max_iters", 2.5), ("restarts", 1.5), ("seed", 0.5), ("restarts", 2.0)):
+    for name, bad in (("restarts", 1.5), ("seed", 0.5), ("restarts", 2.0)):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             OptimConfig(**{name: bad}).validate()
-    OptimConfig(max_iters=np.int64(5), restarts=np.int32(1), seed=np.uint8(3)).validate()
+    OptimConfig(restarts=np.int32(1), seed=np.uint8(3)).validate()

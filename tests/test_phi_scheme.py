@@ -24,8 +24,8 @@ from gmx.states import (
     random_density_matrix,
     tau_populations,
 )
-from gmx.xform import gm_lower_bound_x, phi_mu_bound, x_concurrence, x_projection
-from helpers import ghz, random_states, reference_witness
+from gmx.xform import gm_lower_bound_x, x_concurrence, x_projection
+from helpers import ghz, pair_seed_witness, random_states, reference_witness
 
 CFG = OptimConfig(restarts=4, seed=7)
 
@@ -66,7 +66,23 @@ def test_i_phi_ghz_pair_zero():
 def test_i_phi_mu_params_reproduce_projection_scores():
     rho = random_density_matrix(3, 6, seed=21)
     best = max(i_phi(rho, phi_mu_params(3, mu)) for mu in range(4))
-    assert max(0.0, 2 * best) == pytest.approx(phi_mu_bound(rho).value, abs=1e-14)
+    assert max(0.0, 2 * best) == pytest.approx(gm_lower_bound_x(rho), abs=1e-14)
+
+
+def test_witness_at_pair_seeds_equals_x_bound_on_random_states():
+    worst = 0.0
+    for rho in random_states({2: 50, 3: 50, 4: 50, 5: 50}, seed0=100):
+        witness = max(0.0, 2.0 * float(pair_seed_witness(rho).max()))
+        worst = max(worst, abs(witness - gm_lower_bound_x(rho)))
+    assert worst < 1e-12
+
+
+def test_witness_at_pair_seeds_ds2_pair_one_is_largest():
+    # The (01,10) coherence of the two-qubit Dicke mixture lives on pair 1.
+    rho = diagonal_symmetric(tau_populations(2, 0.05))
+    scores = pair_seed_witness(rho)
+    assert int(np.argmax(scores)) == 1
+    assert 2.0 * scores[1] == pytest.approx(gm_lower_bound_x(rho), abs=1e-15)
 
 
 def test_frame_params_transfer_rotated_frame_scores():

@@ -11,7 +11,6 @@ from gmx.states import (
 from gmx.xform import (
     gm_lower_bound_x,
     penalty_f,
-    phi_mu_bound,
     x_concurrence,
     x_matrix,
     x_projection,
@@ -150,28 +149,3 @@ def test_gm_lower_bound_trivial_for_driven_states():
 
 def test_gm_lower_bound_ghz4():
     assert gm_lower_bound_x(ghz(4)) == 1.0
-
-
-def test_phi_mu_bound_equals_x_bound_on_random_states():
-    worst = 0.0
-    for rho in random_states({2: 50, 3: 50, 4: 50, 5: 50}, seed0=100):
-        res = phi_mu_bound(rho)
-        worst = max(worst, abs(res.value - gm_lower_bound_x(rho)))
-    assert worst < 1e-12
-
-
-def test_phi_mu_bound_x_state_and_tie_break():
-    res = phi_mu_bound(ghz(3))
-    assert res.value == 1.0
-    assert res.best_mu == 0
-    # all-equal scores tie-break to the smallest index
-    assert phi_mu_bound(maximally_mixed(3)).best_mu == 0
-    assert phi_mu_bound(maximally_mixed(3)).value == 0.0
-
-
-def test_phi_mu_bound_ds2_pair_two():
-    # the (01,10) coherence of the two-qubit Dicke mixture lives on pair 1
-    rho = diagonal_symmetric(tau_populations(2, 0.05))
-    res = phi_mu_bound(rho)
-    assert res.best_mu == 1
-    assert res.value == pytest.approx(gm_lower_bound_x(rho), abs=1e-15)
