@@ -16,8 +16,8 @@ from .states import (
     tau_populations,
 )
 from .xform import XParams, gm_lower_bound_x, penalty_f, x_concurrence, x_projection
-from .lugroup import LUParams, assemble, conjugate, grad_penalty, su2
-from .phi_scheme import EstimateResult, PhiParams, c_phi_estimate, i_phi
+from .lugroup import assemble, conjugate, su2
+from .phi_scheme import EstimateResult, c_phi_estimate, i_phi_from_vector, pair_seeds
 from .wootters import wootters_concurrence, verify_dicke2_equality
 from .heuristic import XHeuristicResult, stationary_check, x_heuristic
 from .bench import SweepRecord, TimingSummary, bench_timing, sweep
@@ -30,8 +30,8 @@ __all__ = [
     "collective_ops", "dicke_state", "dicke_steady_state", "diagonal_symmetric",
     "random_density_matrix", "tau_populations",
     "XParams", "gm_lower_bound_x", "penalty_f", "x_concurrence", "x_projection",
-    "LUParams", "assemble", "conjugate", "grad_penalty", "su2",
-    "EstimateResult", "PhiParams", "c_phi_estimate", "i_phi",
+    "assemble", "conjugate", "su2",
+    "EstimateResult", "c_phi_estimate", "i_phi_from_vector", "pair_seeds",
     "wootters_concurrence", "verify_dicke2_equality",
     "XHeuristicResult", "stationary_check", "x_heuristic",
     "SweepRecord", "TimingSummary", "bench_timing", "sweep",

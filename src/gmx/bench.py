@@ -172,7 +172,7 @@ def bench_timing(
     that exceeds ``budget`` seconds is cut off and flags the summary as
     incomplete.
     """
-    if not isinstance(reps, numbers.Integral) or reps < 1:
+    if isinstance(reps, bool) or not isinstance(reps, numbers.Integral) or reps < 1:
         raise ValueError(f"reps must be an integer >= 1, got {reps!r}")
     if cfg.validate().restarts < 1:
         raise ValueError("bench_timing needs restarts >= 1: its attempts have no warm starts")

@@ -14,16 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lugroup import (
-    LUParams,
-    angle_sampler,
-    canonicalize,
-    conjugate,
-    fd_gradient,
-    make_penalty_problem,
-    params_to_vector,
-    vector_to_params,
-)
+from .lugroup import angle_sampler, as_angles, canonicalize, conjugate, fd_gradient, make_penalty_problem
 from .optim import OptimConfig, OptimResult, multi_start
 from .states import DensityMatrix
 from .xform import gm_lower_bound_x
@@ -35,7 +26,7 @@ HESSIAN_STEP = 1e-4
 class XHeuristicResult:
     estimate: float
     f_min: float
-    params: LUParams
+    angles: np.ndarray  # the best frame's packed angles, canonicalized
     optim: OptimResult
 
 
@@ -68,11 +59,10 @@ def x_heuristic(
     # The best-penalty frame can carry a smaller X value than the untouched
     # input frame; both are certified bounds, so report at least the latter.
     floor = gm_lower_bound_x(rho) if include_warm_starts else 0.0
-    params = vector_to_params(n, best.best_point)
     return XHeuristicResult(
-        estimate=max(gm_lower_bound_x(conjugate(rho, params)), floor),
+        estimate=max(gm_lower_bound_x(conjugate(rho, best.best_point)), floor),
         f_min=best.best_value,
-        params=canonicalize(params),
+        angles=canonicalize(best.best_point),
         optim=best,
     )
 
@@ -83,16 +73,16 @@ class StationaryReport(NamedTuple):
     hessian_psd: bool
 
 
-def stationary_check(rho: DensityMatrix, p: LUParams) -> StationaryReport:
-    """Finite-difference stationarity certificate for the penalty objective.
+def stationary_check(rho: DensityMatrix, x) -> StationaryReport:
+    """Finite-difference stationarity certificate for the penalty objective at packed angles ``x``.
 
     Gradient by central differences; Hessian by central differences of the
     analytic gradient with a wider step (second derivatives amplify
     roundoff).  ``hessian_psd`` is true when the smallest Hessian
     eigenvalue is above -1e-6.
     """
+    x = as_angles(x, rho.n_qubits, "stationary_check")
     fun, grad = make_penalty_problem(rho.mat, rho.n_qubits)
-    x = params_to_vector(p)
     gnorm = float(np.linalg.norm(fd_gradient(fun, x)))
     # Row j of the quotient is the derivative of the gradient along x_j.
     hess = fd_gradient(grad, x, HESSIAN_STEP).T

@@ -13,7 +13,6 @@ reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,22 +25,12 @@ from .xform import off_x_mask
 FD_STEP = 1e-6
 
 
-@dataclass(frozen=True)
-class LUParams:
-    """Angles of a product of single-qubit unitaries, one (theta, phi) per qubit."""
-
-    n_qubits: int
-    thetas: np.ndarray
-    phis: np.ndarray
-
-
-def params_to_vector(p: LUParams) -> np.ndarray:
-    return np.concatenate([p.thetas, p.phis]).astype(float)
-
-
-def vector_to_params(n_qubits: int, x: np.ndarray) -> LUParams:
+def as_angles(x, n_qubits: int, name: str) -> np.ndarray:
+    """``x`` as float64 if it is one packed point ``(2N,)`` for ``n_qubits``; else a ValueError naming ``name``."""
     x = np.asarray(x, dtype=float)
-    return LUParams(n_qubits=n_qubits, thetas=x[:n_qubits].copy(), phis=x[n_qubits:].copy())
+    if x.shape != (2 * n_qubits,):
+        raise ValueError(f"{name} takes packed angles ({2 * n_qubits},) for {n_qubits} qubits, got shape {x.shape}")
+    return x
 
 
 def angle_sampler(n_qubits: int, n_products: int = 1):
@@ -60,18 +49,16 @@ def angle_sampler(n_qubits: int, n_products: int = 1):
     return sample
 
 
-def canonicalize(p: LUParams) -> LUParams:
-    """Reduce angles to theta in [0, pi), phi in [0, 2*pi).
+def canonicalize(x) -> np.ndarray:
+    """Packed angles ``x`` reduced to theta in [0, pi), phi in [0, 2*pi).
 
     Shifting any theta by pi only flips the sign of one factor, which
     cancels in rho -> U rho U^dag, so this is an exact symmetry of the
     penalty objective.
     """
-    return LUParams(
-        n_qubits=p.n_qubits,
-        thetas=np.mod(p.thetas, np.pi),
-        phis=np.mod(p.phis, 2 * np.pi),
-    )
+    n = np.size(x) // 2
+    x = as_angles(x, n, "canonicalize")
+    return np.concatenate([np.mod(x[:n], np.pi), np.mod(x[n:], 2 * np.pi)])
 
 
 def su2(theta: float, phi: float) -> np.ndarray:
@@ -90,9 +77,9 @@ def _factors(x: np.ndarray, n: int) -> tuple[tuple, np.ndarray]:
     return (c, s, e), out
 
 
-def assemble(p: LUParams) -> np.ndarray:
-    """Kronecker product of the per-qubit unitaries, qubit 1 leftmost."""
-    return kron_all(_factors(params_to_vector(p), p.n_qubits)[1])
+def assemble(x, n_qubits: int) -> np.ndarray:
+    """Kronecker product of the per-qubit unitaries at packed angles ``x``, qubit 1 leftmost."""
+    return kron_all(_factors(as_angles(x, n_qubits, "assemble"), n_qubits)[1])
 
 
 def _halves(n: int) -> tuple[int, int]:
@@ -161,11 +148,10 @@ def _trace_table(m: int) -> np.ndarray:
     return table
 
 
-def conjugate(rho: DensityMatrix, p: LUParams) -> DensityMatrix:
-    """U rho U^dag for the product unitary described by ``p``."""
-    if p.n_qubits != rho.n_qubits:
-        raise ValueError(f"parameter count for {p.n_qubits} qubits, state has {rho.n_qubits}")
-    return _wrap(rho.n_qubits, apply_local(rho.mat, _factors(params_to_vector(p), p.n_qubits)[1]))
+def conjugate(rho: DensityMatrix, x) -> DensityMatrix:
+    """U rho U^dag for the product unitary at packed angles ``x``."""
+    n = rho.n_qubits
+    return _wrap(n, apply_local(rho.mat, _factors(as_angles(x, n, "conjugate"), n)[1]))
 
 
 def make_penalty_problem(mat: np.ndarray, n_qubits: int):
@@ -236,18 +222,6 @@ def make_penalty_problem(mat: np.ndarray, n_qubits: int):
         return 2.0 * np.concatenate([dth, dph], axis=-1).real
 
     return objective(2 * n, values, gradients)
-
-
-def grad_penalty(rho: DensityMatrix, p: LUParams) -> np.ndarray:
-    """Gradient of the penalty objective at ``p`` (analytic, 2N components)."""
-    _, grad = make_penalty_problem(rho.mat, rho.n_qubits)
-    return grad(params_to_vector(p))
-
-
-def grad_penalty_fd(rho: DensityMatrix, p: LUParams, h: float = FD_STEP) -> np.ndarray:
-    """Central finite-difference gradient of the penalty objective."""
-    fun, _ = make_penalty_problem(rho.mat, rho.n_qubits)
-    return fd_gradient(fun, params_to_vector(p), h)
 
 
 def fd_gradient(fun, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:

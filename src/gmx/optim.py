@@ -34,9 +34,12 @@ class OptimConfig:
     seed: int = 0
 
     def validate(self) -> "OptimConfig":
+        # A bool is an Integral, and a Real.
         for name in ("restarts", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if isinstance(getattr(self, name), bool) or not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise ValueError(f"tol must be a real number, got {self.tol!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if self.restarts < 0:

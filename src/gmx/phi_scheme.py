@@ -27,55 +27,28 @@ from functools import lru_cache
 import numpy as np
 
 from .heuristic import XHeuristicResult, x_heuristic
-from .lugroup import LUParams, angle_sampler, fd_gradient
+from .lugroup import angle_sampler, as_angles, fd_gradient
 from .optim import OptimConfig, OptimResult, as_points, multi_start, objective
 from .states import DensityMatrix, check_shape
 
 
-@dataclass(frozen=True)
-class PhiParams:
-    """Angles of the 2N single-qubit unitaries (theta block then phi block)."""
+def pair_seeds(frame) -> np.ndarray:
+    """Product-state angles reproducing every anti-diagonal pair of the rotated ``frame``, ``(2**(N-1), 4N)``.
 
-    n_qubits: int
-    v_angles: np.ndarray  # (theta_1..theta_N, phi_1..phi_N) for the V_n
-    w_angles: np.ndarray  # same layout for the W_n
-
-
-def params_to_vector(p: PhiParams) -> np.ndarray:
-    return np.concatenate([p.v_angles, p.w_angles]).astype(float)
-
-
-def vector_to_params(n_qubits: int, x: np.ndarray) -> PhiParams:
-    x = np.asarray(x, dtype=float)
-    return PhiParams(n_qubits=n_qubits, v_angles=x[: 2 * n_qubits].copy(), w_angles=x[2 * n_qubits:].copy())
-
-
-def phi_mu_params(n_qubits: int, mu: int) -> PhiParams:
-    """Parameters whose product state realizes the anti-diagonal pair ``mu``.
-
-    The V-product sends |0..0> to the basis state ``mu`` and the W-product
-    to its bitwise complement, reproducing the closed-form bound of the
-    X projection before any optimization.
+    ``frame`` holds the packed angles ``(theta_1..theta_N, phi_1..phi_N)`` of ``U = kron(su2(theta_q,
+    phi_q))``.  At row ``mu`` the witnessed quantity equals the X-projection score of pair ``mu`` on
+    ``U rho U^dag``, so seeding from these rows transfers any lower bound found by the penalty
+    minimization to this scheme exactly; at the zero frame, V sends |0..0> to the basis state ``mu``
+    and W to its bitwise complement.  Qubit q's V and W columns are the conjugates of rows ``b_q``
+    (its bit of ``mu``) and ``1 - b_q`` of its factor; row r's is the first column of
+    ``su2(r pi/2 - theta_q, phi_q)`` up to a phase, which the witness ignores.  The map is affine in
+    the frame angles.
     """
-    return frame_phi_params(LUParams(n_qubits, np.zeros(n_qubits), np.zeros(n_qubits)), mu)
-
-
-def frame_phi_params(frame: LUParams, mu: int) -> PhiParams:
-    """Product-state parameters reproducing anti-diagonal pair ``mu`` of the rotated ``frame``.
-
-    For ``U = kron(su2(theta_q, phi_q))`` the witnessed quantity at these parameters equals the
-    X-projection score of pair ``mu`` on ``U rho U^dag``, so seeding from them transfers any lower
-    bound found by the penalty minimization to this scheme exactly.  Qubit q's V and W columns are
-    the conjugates of rows ``b_q`` (its bit of ``mu``) and ``1 - b_q`` of its factor; row r's is the
-    first column of ``su2(r pi/2 - theta_q, phi_q)`` up to a phase, which the witness ignores.
-    """
-    n = frame.n_qubits
-    if not 0 <= mu < 2 ** (n - 1):
-        raise ValueError(f"mu={mu} out of range [0, {2 ** (n - 1)}) for {n} qubits")
-    bits = np.array([(mu >> (n - j)) & 1 for j in range(1, n + 1)], dtype=float)
-    v = np.concatenate([bits * (np.pi / 2) - frame.thetas, frame.phis])
-    w = np.concatenate([(1.0 - bits) * (np.pi / 2) - frame.thetas, frame.phis])
-    return PhiParams(n_qubits=n, v_angles=v, w_angles=w)
+    n = np.size(frame) // 2
+    thetas, phis = np.split(as_angles(frame, max(n, 2), "pair_seeds"), 2)  # one qubit has no pair
+    bits = ((np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
+    phis = np.broadcast_to(phis, bits.shape)
+    return np.concatenate([bits * (np.pi / 2) - thetas, phis, (1.0 - bits) * (np.pi / 2) - thetas, phis], axis=1)
 
 
 def _choice_table(cols: np.ndarray) -> np.ndarray:
@@ -235,19 +208,12 @@ def make_phi_problem(mat: np.ndarray, n: int, kinks: list | None = None):
     return objective(4 * n, values, gradients)
 
 
-def i_phi(rho: DensityMatrix, p: PhiParams) -> float:
-    """Witnessed quantity for one product-state parameter choice."""
-    if p.n_qubits != rho.n_qubits:
-        raise ValueError("parameter/state qubit count mismatch")
-    return i_phi_from_vector(rho.mat, params_to_vector(p), rho.n_qubits)
-
-
 @dataclass(frozen=True)
 class EstimateResult:
     """A GM-concurrence estimate with its optimizer trace."""
 
     estimate: float
-    params: PhiParams
+    angles: np.ndarray  # the best point's packed angles, V then W
     optim: OptimResult
     x: XHeuristicResult | None  # the X run that seeded the frame; None without warm starts
     kink_rows: int  # gradient rows that fell back to central differences
@@ -261,9 +227,9 @@ def c_phi_estimate(
     """Maximize the witnessed quantity over all 4N angles.
 
     The deterministic start set holds every anti-diagonal pair twice, in
-    closed form (``frame_phi_params``): in the identity frame, which pins
+    closed form (``pair_seeds``): in the identity frame, which pins
     the estimate at or above the plain X-projection bound, and in the
-    frame ``x.params`` of a penalty minimization with the identical
+    frame ``x.angles`` of a penalty minimization with the identical
     configuration, which pins it at or above the X-heuristic estimate
     (that run is returned as ``x``); ``cfg.restarts`` random starts come
     on top.  The objective is not everywhere differentiable: its gradient
@@ -278,12 +244,11 @@ def c_phi_estimate(
     starts, xres = [], None
     if include_warm_starts:
         xres = x_heuristic(rho, cfg)
-        frames = (LUParams(n, np.zeros(n), np.zeros(n)), xres.params)
-        starts = [params_to_vector(frame_phi_params(f, mu)) for f in frames for mu in range(2 ** (n - 1))]
+        starts = np.concatenate([pair_seeds(np.zeros(2 * n)), pair_seeds(xres.angles)])
     best = multi_start(neg, grad, angle_sampler(n, 2), cfg, starts=starts)
     return EstimateResult(
         estimate=max(0.0, -2.0 * best.best_value),
-        params=vector_to_params(n, best.best_point),
+        angles=best.best_point,
         optim=best,
         x=xres,
         kink_rows=len(kinks),

@@ -56,6 +56,8 @@ def verify_dicke2_equality(gammas) -> Dicke2EqualityReport:
     value's distance from the closed form, over all requested gammas.
     """
     gammas = np.asarray(list(gammas), dtype=float)
+    if gammas.size == 0:
+        raise ValueError("verify_dicke2_equality needs at least one gamma")
     cw = np.empty_like(gammas)
     cx = np.empty_like(gammas)
     ref = np.empty_like(gammas)

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from gmx.phi_scheme import i_phi_from_vector, params_to_vector, phi_mu_params
+from gmx.phi_scheme import i_phi_from_vector, pair_seeds
 from gmx.states import DensityMatrix, random_density_matrix
 
 
@@ -29,10 +29,9 @@ def random_states(counts: dict[int, int], seed0: int = 0):
 
 
 def pair_seed_witness(rho: DensityMatrix) -> np.ndarray:
-    """The product-state witness at each anti-diagonal pair seed ``phi_mu_params(n, mu)``, mu < 2**(n-1)."""
+    """The product-state witness at each anti-diagonal pair seed of the zero frame, row mu < 2**(n-1)."""
     n = rho.n_qubits
-    seeds = np.stack([params_to_vector(phi_mu_params(n, mu)) for mu in range(2 ** (n - 1))])
-    return i_phi_from_vector(rho.mat, seeds, n)
+    return i_phi_from_vector(rho.mat, pair_seeds(np.zeros(2 * n)), n)
 
 
 def circular_distance(angle: float, target: float, period: float) -> float:

@@ -92,9 +92,13 @@ def test_make_state_rejects_qubit_counts_outside_two_to_eight(n):
     (lambda: make_state("ds", 3.5, 0.5), "qubit count"),
     (lambda: sweep("ds", 3.0, [0.5], CFG), "qubit count"),
     (lambda: bench_timing("ds", 2, 0.3, "x", reps=1.5, cfg=OptimConfig(restarts=1, seed=1)), "reps"),
+    (lambda: bench_timing("ds", 2, 0.3, "x", reps=True, cfg=OptimConfig(restarts=1, seed=1)), "reps"),
     (lambda: bench_timing("ds", 2, 0.3, "x", reps=1, cfg=OptimConfig(restarts=1, seed=0.5), threshold=0.5),
      "seed"),
-], ids=["make_state", "sweep", "bench_timing", "bench_timing-seed"])
+    (lambda: bench_timing("ds", 2, 0.3, "x", reps=1, cfg=OptimConfig(restarts=True, seed=1), threshold=0.5),
+     "restarts"),
+], ids=["make_state", "sweep", "bench_timing", "bench_timing-bool-reps", "bench_timing-seed",
+        "bench_timing-bool-restarts"])
 def test_non_integral_counts_fail_at_the_boundary(monkeypatch, call, name):
     monkeypatch.setattr("gmx.bench.x_heuristic", lambda *a, **k: pytest.fail("an estimate ran"))
     monkeypatch.setattr("gmx.bench._run_attempt", lambda *a, **k: pytest.fail("an attempt ran"))

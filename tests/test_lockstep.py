@@ -12,8 +12,7 @@ from gmx.phi_scheme import (
     i_phi_from_vector,
     i_phi_gradient,
     make_phi_problem,
-    params_to_vector,
-    phi_mu_params,
+    pair_seeds,
 )
 from gmx.states import random_density_matrix
 from helpers import ghz
@@ -32,7 +31,7 @@ def _penalty_n3():
 def _phi_ghz3():
     # The pair points of GHZ(3) are kinks, so some gradient rows fall back
     # to finite differences inside a stacked call.
-    starts = [params_to_vector(phi_mu_params(3, mu)) for mu in range(4)]
+    starts = list(pair_seeds(np.zeros(6)))
     return (*make_phi_problem(ghz(3).mat, 3), angle_sampler(3, 2), starts)
 
 
@@ -174,7 +173,7 @@ def test_stacked_phi_rows_equal_single_points(n):
     rng = np.random.default_rng(60 + n)
     for rho, kink in ((random_density_matrix(n, 2, seed=50 + n), False), (ghz(n), True)):
         xs = rng.uniform(0.0, 2 * np.pi, (9, 4 * n))
-        xs[4] = params_to_vector(phi_mu_params(n, 0))  # a kink of GHZ(n) only
+        xs[4] = pair_seeds(np.zeros(2 * n))[0]  # a kink of GHZ(n) only
         values, grads = i_phi_from_vector(rho.mat, xs, n), i_phi_gradient(rho.mat, xs, n)
         fun, grad = make_phi_problem(rho.mat, n)
         problem_grads = grad(xs)
@@ -199,7 +198,7 @@ def test_phi_gradient_stack_mixing_kept_and_new_passes_equals_fresh_rows(n):
     rng = np.random.default_rng([85, n])
     for rho in (random_density_matrix(n, 3, seed=85 + n), ghz(n)):
         xs = rng.uniform(0.0, 2 * np.pi, (6, 4 * n))
-        xs[2] = params_to_vector(phi_mu_params(n, 0))  # a kink of GHZ(n) only
+        xs[2] = pair_seeds(np.zeros(2 * n))[0]  # a kink of GHZ(n) only
         fun, grad = make_phi_problem(rho.mat, n)
         fun(xs[[4, 0, 2]])  # rows 0, 2 and 4 keep their pass, in another order
         grads = grad(xs)
@@ -226,7 +225,7 @@ def _counting(monkeypatch, module, name, calls):
 def test_kink_fallback_between_value_and_gradient_keeps_the_pass(monkeypatch):
     n = 3
     xs = np.random.default_rng(86).uniform(0.0, 2 * np.pi, (4, 4 * n))
-    xs[1] = params_to_vector(phi_mu_params(n, 0))  # a kink of GHZ(3)
+    xs[1] = pair_seeds(np.zeros(2 * n))[0]  # a kink of GHZ(3)
     kinks = []
     fun, grad = make_phi_problem(ghz(n).mat, n, kinks)
     fun(xs)
@@ -295,7 +294,7 @@ def test_fd_gradient_makes_one_stacked_call():
         calls.append(x.shape)
         return fun(x)
 
-    x = params_to_vector(phi_mu_params(3, 0))
+    x = pair_seeds(np.zeros(6))[0]
     g = fd_gradient(counted, x)
     assert calls == [(24, 12)]
     h = 1e-6

@@ -1,21 +1,18 @@
 import numpy as np
 import pytest
 
+from gmx.heuristic import stationary_check
 from gmx.lugroup import (
-    LUParams,
     _factors,
     apply_local,
     assemble,
     canonicalize,
     conjugate,
-    grad_penalty,
-    grad_penalty_fd,
+    fd_gradient,
     make_penalty_problem,
-    params_to_vector,
     su2,
-    vector_to_params,
 )
-from gmx.phi_scheme import i_phi_from_vector, i_phi_gradient, make_phi_problem
+from gmx.phi_scheme import i_phi_from_vector, i_phi_gradient, make_phi_problem, pair_seeds
 from gmx.states import DickeParams, dicke_steady_state, diagonal_symmetric, random_density_matrix, tau_populations
 from gmx.xform import penalty_f
 from helpers import ghz, loop_kron
@@ -27,7 +24,13 @@ F_EQ23_DS3_HALF = 0.041666666666666666667
 
 
 def eq23_params(n):
-    return LUParams(n, np.full(n, np.pi / 4), np.zeros(n))
+    return np.concatenate([np.full(n, np.pi / 4), np.zeros(n)])
+
+
+def penalty_gradients(rho, x):
+    """The analytic penalty gradient at ``x`` and its central differences."""
+    fun, grad = make_penalty_problem(rho.mat, rho.n_qubits)
+    return grad(x), fd_gradient(fun, x)
 
 
 def test_su2_identity():
@@ -48,27 +51,24 @@ def test_su2_unitary_det_one():
 
 
 def test_assemble_identity():
-    p = LUParams(3, np.zeros(3), np.zeros(3))
-    assert np.abs(assemble(p) - np.eye(8)).max() < 1e-15
+    assert np.abs(assemble(np.zeros(6), 3) - np.eye(8)).max() < 1e-15
 
 
 def test_assemble_matches_kron_oracle():
-    p = LUParams(2, np.array([np.pi / 4, np.pi / 4]), np.zeros(2))
-    u = assemble(p)
+    u = assemble(eq23_params(2), 2)
     oracle = loop_kron(su2(np.pi / 4, 0), su2(np.pi / 4, 0))
     assert np.abs(u - oracle).max() < 1e-15
 
 
 def test_assemble_unitary():
     rng = np.random.default_rng(1)
-    p = LUParams(3, rng.uniform(0, np.pi, 3), rng.uniform(0, 2 * np.pi, 3))
-    u = assemble(p)
+    u = assemble(random_point(rng, 3), 3)
     assert np.abs(u @ u.conj().T - np.eye(8)).max() < 1e-12
 
 
 def test_conjugate_identity_params():
     rho = random_density_matrix(2, 3, seed=2)
-    out = conjugate(rho, LUParams(2, np.zeros(2), np.zeros(2)))
+    out = conjugate(rho, np.zeros(4))
     assert np.abs(out.mat - rho.mat).max() < 1e-15
 
 
@@ -76,8 +76,7 @@ def test_conjugate_preserves_trace_and_spectrum():
     rng = np.random.default_rng(3)
     for _ in range(5):
         rho = random_density_matrix(3, int(rng.integers(1, 9)), seed=int(rng.integers(1e6)))
-        p = LUParams(3, rng.uniform(0, np.pi, 3), rng.uniform(0, 2 * np.pi, 3))
-        out = conjugate(rho, p)
+        out = conjugate(rho, random_point(rng, 3))
         out.validate()
         a = np.sort(np.linalg.eigvalsh(rho.mat))
         b = np.sort(np.linalg.eigvalsh(out.mat))
@@ -86,15 +85,14 @@ def test_conjugate_preserves_trace_and_spectrum():
 
 def test_conjugate_single_qubit_equals_u_rho_u_dagger():
     rho = random_density_matrix(1, 2, seed=12)
-    p = LUParams(1, np.array([0.7]), np.array([2.1]))
     u = su2(0.7, 2.1)
-    assert np.abs(conjugate(rho, p).mat - u @ rho.mat @ u.conj().T).max() <= 1e-15
+    assert np.abs(conjugate(rho, [0.7, 2.1]).mat - u @ rho.mat @ u.conj().T).max() <= 1e-15
 
 
 def test_conjugate_dimension_mismatch():
     rho = random_density_matrix(2, 2, seed=4)
-    with pytest.raises(ValueError):
-        conjugate(rho, LUParams(3, np.zeros(3), np.zeros(3)))
+    with pytest.raises(ValueError, match=r"conjugate takes packed angles \(4,\) for 2 qubits, got shape \(6,\)"):
+        conjugate(rho, np.zeros(6))
 
 
 @pytest.mark.parametrize("tau", [0.3, 0.7])
@@ -113,17 +111,17 @@ def test_penalty_at_symmetric_minimum_three_qubits():
 def test_gradient_vanishes_at_symmetric_minimum():
     for n in (3, 4, 5):
         rho = diagonal_symmetric(tau_populations(n, 0.4))
-        g = grad_penalty_fd(rho, eq23_params(n))
-        assert np.linalg.norm(g) < 1e-8
+        fun, _ = make_penalty_problem(rho.mat, n)
+        assert np.linalg.norm(fd_gradient(fun, eq23_params(n))) < 1e-8
 
 
 def test_gradient_vanishes_on_x_state_at_identity():
     rho = ghz(3)
     assert penalty_f(rho) == 0.0
-    g = grad_penalty_fd(rho, LUParams(3, np.zeros(3), np.zeros(3)))
-    assert np.linalg.norm(g) < 1e-8
+    ga, gf = penalty_gradients(rho, np.zeros(6))
+    assert np.linalg.norm(gf) < 1e-8
     # the analytic gradient is exactly zero there
-    assert np.linalg.norm(grad_penalty(rho, LUParams(3, np.zeros(3), np.zeros(3)))) == 0.0
+    assert np.linalg.norm(ga) == 0.0
 
 
 def test_analytic_gradient_matches_finite_differences():
@@ -132,27 +130,25 @@ def test_analytic_gradient_matches_finite_differences():
     for _ in range(30):
         n = int(rng.integers(2, 5))
         rho = random_density_matrix(n, int(rng.integers(1, 2 ** n + 1)), seed=int(rng.integers(1e6)))
-        p = LUParams(n, rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n))
-        ga = grad_penalty(rho, p)
-        gf = grad_penalty_fd(rho, p)
+        ga, gf = penalty_gradients(rho, random_point(rng, n))
         worst = max(worst, np.abs(ga - gf).max() / max(np.abs(gf).max(), 1e-12))
     assert worst < 1e-6
 
 
 def random_point(rng, n):
-    return LUParams(n, rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n))
+    return np.concatenate([rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n)])
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_apply_local_matches_dense_conjugation(n):
     rng = np.random.default_rng([7, n])
     rho = random_density_matrix(n, min(4, 2 ** n), seed=n)
-    p = random_point(rng, n)
-    u = assemble(p)
+    x = random_point(rng, n)
+    u = assemble(x, n)
     dense = u @ rho.mat @ u.conj().T
-    factors = [su2(t, f) for t, f in zip(p.thetas, p.phis)]
+    factors = [su2(t, f) for t, f in zip(x[:n], x[n:])]
     assert np.abs(apply_local(rho.mat, factors) - dense).max() <= 1e-14
-    assert np.abs(conjugate(rho, p).mat - dense).max() <= 1e-14
+    assert np.abs(conjugate(rho, x).mat - dense).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -160,11 +156,11 @@ def test_apply_local_on_a_stack_matches_dense_conjugation_row_by_row(n):
     rng = np.random.default_rng([17, n])
     rho = random_density_matrix(n, min(4, 2 ** n), seed=n)
     points = [random_point(rng, n) for _ in range(3)]
-    stack = np.array([[su2(t, f) for t, f in zip(p.thetas, p.phis)] for p in points])
+    stack = np.array([[su2(t, f) for t, f in zip(x[:n], x[n:])] for x in points])
     got = apply_local(rho.mat, stack)
     assert got.shape == (3, 2 ** n, 2 ** n)
-    for row, p in zip(got, points):
-        u = assemble(p)
+    for row, x in zip(got, points):
+        u = assemble(x, n)
         assert np.abs(row - u @ rho.mat @ u.conj().T).max() <= 1e-14
 
 
@@ -184,6 +180,20 @@ def test_kernels_reject_shapes_they_do_not_take():
     for kernel in (make_penalty_problem, lambda mat, n: apply_local(mat, np.tile(np.eye(2), (n, 1, 1)))):
         with pytest.raises(ValueError, match=r"matrix shape \(8, 8\) does not match n_qubits=2"):
             kernel(rho.mat, 2)
+    # The angle functions take one packed point (2N,) and name themselves when given anything else.
+    takers = {"conjugate": lambda x: conjugate(rho, x), "assemble": lambda x: assemble(x, 3),
+              "stationary_check": lambda x: stationary_check(rho, x)}
+    for name, taker in takers.items():
+        for bad in bad_shapes(6):
+            with pytest.raises(ValueError, match=rf"{name} takes packed angles \(6,\) for 3 qubits, got shape"):
+                taker(bad)
+    # These two read the qubit count off the length, so they reject odd lengths and stacks.
+    for bad in (np.zeros(5), np.zeros((2, 6))):
+        for name, taker in (("canonicalize", canonicalize), ("pair_seeds", pair_seeds)):
+            with pytest.raises(ValueError, match=rf"{name} takes packed angles \(\d+,\) for \d+ qubits"):
+                taker(bad)
+    with pytest.raises(ValueError, match=r"pair_seeds takes packed angles \(4,\) for 2 qubits, got shape \(2,\)"):
+        pair_seeds(np.zeros(2))  # one qubit has no pair
 
 
 def test_phi_kernels_reject_shapes_they_do_not_take():
@@ -225,9 +235,7 @@ def test_gradient_matches_finite_differences_up_to_eight_qubits(n):
     worst = 0.0
     for k in range(10):
         rho = random_density_matrix(n, int(rng.integers(1, 2 ** n + 1)), seed=100 * n + k)
-        p = random_point(rng, n)
-        ga = grad_penalty(rho, p)
-        gf = grad_penalty_fd(rho, p)
+        ga, gf = penalty_gradients(rho, random_point(rng, n))
         worst = max(worst, np.abs(ga - gf).max() / max(np.abs(gf).max(), 1e-12))
     assert worst < 1e-6
 
@@ -240,7 +248,7 @@ def test_shared_sigma_is_never_stale(problem):
     make, products = {"penalty": (make_penalty_problem, 1), "phi": (make_phi_problem, 2)}[problem]
 
     def point():
-        return np.concatenate([params_to_vector(random_point(rng, 4)) for _ in range(products)])
+        return np.concatenate([random_point(rng, 4) for _ in range(products)])
 
     def fresh(which, x):
         return make(rho.mat, 4)[which](x.copy())
@@ -269,13 +277,8 @@ def test_objective_periodic_in_theta():
         assert fun(shifted) == pytest.approx(base, abs=1e-12)
 
 
-def test_canonicalize_ranges_and_round_trip():
-    p = LUParams(2, np.array([np.pi / 4 + np.pi, -0.3]), np.array([2 * np.pi + 0.1, -0.2]))
-    c = canonicalize(p)
-    assert np.all((c.thetas >= 0) & (c.thetas < np.pi))
-    assert np.all((c.phis >= 0) & (c.phis < 2 * np.pi))
-    assert c.thetas[0] == pytest.approx(np.pi / 4)
-    x = params_to_vector(p)
-    back = vector_to_params(2, x)
-    assert np.array_equal(back.thetas, p.thetas)
-    assert np.array_equal(back.phis, p.phis)
+def test_canonicalize_ranges():
+    c = canonicalize([np.pi / 4 + np.pi, -0.3, 2 * np.pi + 0.1, -0.2])
+    assert np.all((c[:2] >= 0) & (c[:2] < np.pi))
+    assert np.all((c[2:] >= 0) & (c[2:] < 2 * np.pi))
+    assert c[0] == pytest.approx(np.pi / 4)

@@ -165,7 +165,10 @@ def test_config_validation():
         with pytest.raises(ValueError):
             OptimConfig(**bad).validate()
     # Counts that are not integers would fail later, inside range() or numpy's seeding.
-    for name, bad in (("restarts", 1.5), ("seed", 0.5), ("restarts", 2.0)):
+    for name, bad in (("restarts", 1.5), ("seed", 0.5), ("restarts", 2.0), ("restarts", True), ("seed", False)):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             OptimConfig(**{name: bad}).validate()
+    for bad in ("1e-3", None, True):
+        with pytest.raises(ValueError, match="tol must be a real number"):
+            OptimConfig(tol=bad).validate()
     OptimConfig(restarts=np.int32(1), seed=np.uint8(3)).validate()

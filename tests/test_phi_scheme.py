@@ -1,18 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
 
-from gmx.lugroup import LUParams, conjugate, fd_gradient
+from gmx.lugroup import conjugate, fd_gradient
 from gmx.optim import OptimConfig
 from gmx.phi_scheme import (
-    PhiParams,
     c_phi_estimate,
-    frame_phi_params,
-    i_phi,
     i_phi_from_vector,
     i_phi_gradient,
     make_phi_problem,
-    params_to_vector,
-    phi_mu_params,
+    pair_seeds,
 )
 from gmx.heuristic import x_heuristic
 from gmx.states import (
@@ -36,10 +34,6 @@ def maximally_mixed(n):
     return _wrap(n, np.eye(2 ** n, dtype=complex) / 2 ** n)
 
 
-def identity_params(n):
-    return PhiParams(n, np.zeros(2 * n), np.zeros(2 * n))
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_witness_matches_the_reference_at_random_points(n):
     # The reference enumerates the bipartitions with itertools and builds every product
@@ -55,17 +49,17 @@ def test_witness_matches_the_reference_at_random_points(n):
 
 def test_i_phi_identity_params_maximally_mixed():
     # every expectation equals 1/4, so the criterion value is zero for N=2
-    assert i_phi(maximally_mixed(2), identity_params(2)) == pytest.approx(0.0, abs=1e-15)
+    assert i_phi_from_vector(maximally_mixed(2).mat, np.zeros(8), 2) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_i_phi_ghz_pair_zero():
-    val = i_phi(ghz(3), phi_mu_params(3, 0))
+    val = i_phi_from_vector(ghz(3).mat, pair_seeds(np.zeros(6))[0], 3)
     assert val == pytest.approx(0.5, abs=1e-14)
 
 
-def test_i_phi_mu_params_reproduce_projection_scores():
+def test_pair_seeds_reproduce_projection_scores():
     rho = random_density_matrix(3, 6, seed=21)
-    best = max(i_phi(rho, phi_mu_params(3, mu)) for mu in range(4))
+    best = max(i_phi_from_vector(rho.mat, pair_seeds(np.zeros(6)), 3))
     assert max(0.0, 2 * best) == pytest.approx(gm_lower_bound_x(rho), abs=1e-14)
 
 
@@ -91,31 +85,40 @@ def test_frame_params_transfer_rotated_frame_scores():
     for trial in range(400):
         n = int(rng.integers(2, 6))
         rho = random_density_matrix(n, int(rng.integers(1, 2 ** n + 1)), seed=trial + 50)
-        frame = LUParams(n, rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n))
+        frame = np.concatenate([rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n)])
         xp = x_projection(conjugate(rho, frame))
         s = np.sqrt(np.clip(xp.a * xp.b, 0.0, None))
         scores = xp.r - (s.sum() - s)
-        got = [i_phi(rho, frame_phi_params(frame, mu)) for mu in range(2 ** (n - 1))]
-        assert got == pytest.approx(scores, abs=1e-15)
+        got = i_phi_from_vector(rho.mat, pair_seeds(frame), n)
+        assert list(got) == pytest.approx(scores, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_pair_params_are_the_identity_frame_seeds(n):
     # V sends |0..0> to |mu> and W to its complement: quarter turns on the flipped qubits only.
-    for mu in range(2 ** (n - 1)):
+    seeds = pair_seeds(np.zeros(2 * n))
+    assert seeds.shape == (2 ** (n - 1), 4 * n)
+    for mu, row in enumerate(seeds):
         bits = np.array([(mu >> (n - j)) & 1 for j in range(1, n + 1)], dtype=float)
         expected = np.concatenate([bits * (np.pi / 2), np.zeros(n), (1.0 - bits) * (np.pi / 2), np.zeros(n)])
-        assert params_to_vector(phi_mu_params(n, mu)).tobytes() == expected.tobytes()
+        assert row.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_frame_params_reject_pairs_outside_the_frame(n):
-    frame = LUParams(n, np.full(n, 0.3), np.full(n, 1.1))
-    for mu in (-1, 2 ** (n - 1), 2 ** n):
-        with pytest.raises(ValueError, match=f"mu={mu} out of range"):
-            frame_phi_params(frame, mu)
-        with pytest.raises(ValueError, match=f"mu={mu} out of range"):
-            phi_mu_params(n, mu)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pair_seeds_send_the_products_to_the_pair_basis_states(n):
+    # Each V and W enters through its first column (cos theta, -sin theta e^{-i phi}); the
+    # product vectors are np.kron chains of those columns, as in helpers.reference_witness.
+    def product(block):
+        columns = [np.array([np.cos(t), -np.sin(t) * np.exp(-1j * f)]) for t, f in zip(block[:n], block[n:])]
+        return functools.reduce(np.kron, columns)
+
+    basis = np.eye(2 ** n)
+    for mu, row in enumerate(pair_seeds(np.zeros(2 * n))):
+        v, w = product(row[:2 * n]), product(row[2 * n:])
+        for vec, target in ((v, basis[mu]), (w, basis[2 ** n - 1 - mu])):
+            # Equal up to a phase: the overlap has modulus 1 and nothing is left off the target.
+            assert abs(abs(np.vdot(target, vec)) - 1.0) <= 1e-15
+            assert np.abs(vec - np.vdot(target, vec) * target).max() <= 1e-15
 
 
 def test_exact_gradient_matches_central_differences():
@@ -143,7 +146,7 @@ def _zero_diagonal_state():
 
 @pytest.mark.parametrize("rho", [ghz(3), _zero_diagonal_state()], ids=["ghz", "zero-diagonal"])
 def test_kinks_fall_back_to_central_differences(rho):
-    x = params_to_vector(phi_mu_params(3, 0))
+    x = pair_seeds(np.zeros(6))[0]
     assert i_phi_gradient(rho.mat, x, 3) is None
     fun, grad = make_phi_problem(rho.mat, 3)
     assert np.array_equal(grad(x), fd_gradient(fun, x))
@@ -196,8 +199,8 @@ def test_c_phi_invariant_under_local_unitaries():
     for n, gamma in ((2, 1.5), (3, 1.623)):
         rho = dicke_steady_state(DickeParams(n, gamma))
         base = c_phi_estimate(rho, cfg).estimate
-        p = LUParams(n, rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n))
-        rotated = c_phi_estimate(conjugate(rho, p), cfg).estimate
+        x = np.concatenate([rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n)])
+        rotated = c_phi_estimate(conjugate(rho, x), cfg).estimate
         assert rotated == pytest.approx(base, abs=1e-6)
 
 
@@ -210,8 +213,8 @@ def test_rotated_frame_bound_never_exceeds_phi_estimate():
         cap = c_phi_estimate(rho, OptimConfig(restarts=4, seed=1)).estimate
         for _ in range(5):
             n = rho.n_qubits
-            p = LUParams(n, rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n))
-            val = x_concurrence(x_projection(conjugate(rho, p)))
+            x = np.concatenate([rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n)])
+            val = x_concurrence(x_projection(conjugate(rho, x)))
             assert val <= cap + 1e-6
 
 
@@ -221,7 +224,6 @@ def test_first_term_bounded_at_orthogonal_pair_params():
     for seed in range(20):
         rho = random_density_matrix(3, (seed % 8) + 1, seed=100 + seed)
         for mu in range(4):
-            p = phi_mu_params(3, mu)
             idx = mu
             first = abs(rho.mat[idx, 7 - idx])
             assert first <= 0.5 + 1e-12
@@ -232,7 +234,7 @@ def test_estimate_result_fields():
     res = c_phi_estimate(rho, OptimConfig(restarts=1, seed=0))
     # two pair seeds, two frame seeds, one random restart
     assert res.optim.restarts_used == 5
-    assert res.params.n_qubits == 2
+    assert res.angles.shape == (8,)
     assert res.optim.wall_time >= 0.0
 
 

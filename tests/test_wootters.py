@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmx.lugroup import LUParams, conjugate
+from gmx.lugroup import conjugate
 from gmx.states import DickeParams, dicke_steady_state, pure_state, random_density_matrix
 from gmx.wootters import (
     dicke2_closed_form,
@@ -49,8 +49,8 @@ def test_wootters_invariant_under_local_unitaries():
     for seed in range(10):
         rho = random_density_matrix(2, (seed % 4) + 1, seed=seed)
         base = wootters_concurrence(rho)
-        p = LUParams(2, rng.uniform(0, np.pi, 2), rng.uniform(0, 2 * np.pi, 2))
-        assert wootters_concurrence(conjugate(rho, p)) == pytest.approx(base, abs=1e-10)
+        x = np.concatenate([rng.uniform(0, np.pi, 2), rng.uniform(0, 2 * np.pi, 2)])
+        assert wootters_concurrence(conjugate(rho, x)) == pytest.approx(base, abs=1e-10)
 
 
 def test_wootters_bounds():
@@ -69,6 +69,12 @@ def test_wootters_rejects_wrong_size():
 def test_verify_dicke2_equality_grid():
     report = verify_dicke2_equality([0.0, 0.5, 1.0, 1.65, 2.0, 5.0])
     assert report.max_deviation < 1e-10
+
+
+def test_verify_dicke2_equality_rejects_an_empty_grid():
+    # The worst deviation over no gammas is undefined.
+    with pytest.raises(ValueError, match="at least one gamma"):
+        verify_dicke2_equality([])
 
 
 def test_dicke2_zero_plateau_endpoint():
