@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .heuristic import x_heuristic
-from .optim import MAX_ITERS, OptimConfig
+from .optim import MAX_ITERS, TOL, OptimConfig
 from .phi_scheme import c_phi_estimate
 from .states import PRNG_NAME, DensityMatrix, DickeParams, dicke_steady_state, diagonal_symmetric, tau_populations
 
@@ -145,11 +145,8 @@ def write_csv(records: list[SweepRecord], path) -> None:
 
 
 def _run_attempt(method: str, rho: DensityMatrix, cfg: OptimConfig) -> float:
-    if method == "x":
-        return x_heuristic(rho, cfg, include_warm_starts=False).estimate
-    if method == "phi":
-        return c_phi_estimate(rho, cfg, include_warm_starts=False).estimate
-    raise ValueError(f"unknown method {method!r} (expected 'x' or 'phi')")
+    scheme = x_heuristic if method == "x" else c_phi_estimate
+    return scheme(rho, cfg, include_warm_starts=False).estimate
 
 
 def bench_timing(
@@ -170,12 +167,19 @@ def bench_timing(
     unsuccessful attempt.  When ``threshold`` is omitted it is set to the
     warm-started X-heuristic estimate for the same state.  A repetition
     that exceeds ``budget`` seconds is cut off and flags the summary as
-    incomplete.
+    incomplete; without a budget, a threshold the scheme cannot reach
+    never returns.  Every argument is checked before the first estimate.
     """
     if isinstance(reps, bool) or not isinstance(reps, numbers.Integral) or reps < 1:
         raise ValueError(f"reps must be an integer >= 1, got {reps!r}")
+    if method not in ("x", "phi"):
+        raise ValueError(f"unknown method {method!r} (expected 'x' or 'phi')")
     if cfg.validate().restarts < 1:
         raise ValueError("bench_timing needs restarts >= 1: its attempts have no warm starts")
+    for name, value in (("threshold", threshold), ("budget", budget)):
+        # A bool is a Real, and True would pass the range checks below as 1.
+        if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
     if budget is not None and not 0.0 < budget < np.inf:
         raise ValueError(f"budget must be a positive finite number of seconds, got {budget!r}")
     rho = make_state(family, n, parameter)
@@ -234,7 +238,7 @@ def run_manifest(cfg: OptimConfig, extra: dict | None = None) -> dict:
     """Reproducibility record written next to every CSV artifact."""
     doc = {
         "seed": cfg.seed,
-        "tol": cfg.tol,
+        "tol": TOL,
         "max_iters": MAX_ITERS,
         "restarts": cfg.restarts,
         "prng": PRNG_NAME,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -34,15 +33,6 @@ from .states import (
 )
 from .wootters import verify_dicke2_equality
 from .xform import gm_lower_bound_x
-
-
-def _config(args) -> OptimConfig:
-    raw = os.environ.get("GMX_TOL", "1e-11")
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise ValueError(f"GMX_TOL must be a positive finite number, got {raw!r}") from None
-    return OptimConfig(tol=tol, restarts=args.restarts, seed=args.seed).validate()
 
 
 def _cmd_sweep(args, cfg) -> int:
@@ -210,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", type=float, required=True, help="tau or gamma")
     p.add_argument("--method", choices=("x", "phi"), required=True)
     p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--budget", type=float, default=None, help="per-repetition time budget in seconds")
+    p.add_argument("--budget", type=float, default=None,
+                   help="per-repetition time budget in seconds; without one, an unreachable threshold never returns")
     p.add_argument("--threshold", type=float, default=None,
                    help="target estimate; defaults to the warm-started X-heuristic value")
     p.add_argument("--out", type=str, default=None, help="manifest path")
@@ -229,7 +220,7 @@ def main(argv=None) -> int:
         return _cmd_verify()
     # Bad input the library rejects ends like an argparse error, not a traceback.
     try:
-        return args.func(args, _config(args))
+        return args.func(args, OptimConfig(restarts=args.restarts, seed=args.seed).validate())
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
 

@@ -54,11 +54,13 @@ def kron_all(factors) -> np.ndarray:
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive-semidefinite matrix.
 
-    ``a`` must be Hermitian to within ``HERM_TOL`` entrywise.  Eigenvalues in
+    ``a`` must be finite and Hermitian to within ``HERM_TOL`` entrywise.  Eigenvalues in
     ``[-PSD_TOL, 0)`` are clamped to zero; anything below raises.  The output
     ``s`` is Hermitian, PSD and satisfies ``s @ s == a`` to about 1e-9.
     """
     a = np.asarray(a, dtype=complex)
+    if not np.isfinite(a).all():  # NaN would pass the Hermitian check below
+        raise ValueError("matrix has non-finite entries")
     dev = herm_deviation(a)
     if dev > HERM_TOL:
         raise ValueError(f"matrix is not Hermitian: max |a - a^dag| = {dev:.3e} > {HERM_TOL:.1e}")

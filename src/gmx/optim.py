@@ -2,7 +2,7 @@
 
 ``bfgs_minimize`` is a dense inverse-Hessian BFGS with a strong-Wolfe line
 search (c1 = 1e-4, c2 = 0.9).  It terminates when the accepted step norm
-or the objective decrease drops below ``tol``, or after ``MAX_ITERS``
+or the objective decrease drops below ``TOL``, or after ``MAX_ITERS``
 iterations; a failed line search returns the best point found with
 ``converged = False`` instead of raising.  ``multi_start`` runs
 it from caller-supplied starts plus ``restarts`` points sampled from
@@ -25,11 +25,11 @@ WOLFE_C2 = 0.9
 _MAX_BRACKET = 20
 _MAX_ZOOM = 30
 MAX_ITERS = 10_000
+TOL = 1e-11  # on the step norm, the decrease and a flat line search alike
 
 
 @dataclass(frozen=True)
 class OptimConfig:
-    tol: float = 1e-11  # on the step norm, the decrease and a flat line search alike
     restarts: int = 20
     seed: int = 0
 
@@ -38,10 +38,6 @@ class OptimConfig:
         for name in ("restarts", "seed"):
             if isinstance(getattr(self, name), bool) or not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
-            raise ValueError(f"tol must be a real number, got {self.tol!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
         if self.seed < 0:
@@ -136,10 +132,10 @@ class _Runs:
     ends leaves it.  ``vecdot`` and ``matvec`` give each row a lone ``@``'s BLAS calls.
     """
 
-    def __init__(self, x0s, cfg: OptimConfig, t0: float, history: list | None):
+    def __init__(self, x0s, t0: float, history: list | None):
         self.x = np.array(x0s, dtype=float)
         k, p = self.x.shape
-        self.cfg, self.t0, self.history, self.eye = cfg, t0, [] if history is None else history, np.eye(p)
+        self.t0, self.history, self.eye = t0, [] if history is None else history, np.eye(p)
         self.h, self.d = np.broadcast_to(self.eye, (k, p, p)).copy(), np.zeros((k, p))
         self.live = self.runs = [_Run() for _ in range(k)]  # `live` is rebound, never changed in place
 
@@ -184,7 +180,7 @@ class _Runs:
         for j, run in enumerate(self.live):
             if run.want == _END:
                 # No Wolfe step: end at the best step seen if it descends.
-                run.converged, run.want = run.dev < self.cfg.tol, _DONE
+                run.converged, run.want = run.dev < TOL, _DONE
                 run.status = "flat" if run.converged else "fail"
                 if not run.converged and math.isfinite(run.best_f) and run.best_f < run.f:
                     self.x[j], run.f = self.x[j] + run.best_a * self.d[j], run.best_f
@@ -222,7 +218,7 @@ class _Runs:
             if ok[j]:
                 decrease, run.f, run.status, run.first = run.f - run.fa, run.fa, "ok", False
                 self.history.append(run.f)
-                done = step[j] < self.cfg.tol or decrease < self.cfg.tol
+                done = step[j] < TOL or decrease < TOL
                 if done or run.iters == MAX_ITERS:
                     run.converged, run.want = done, _DONE
                 else:
@@ -236,7 +232,7 @@ class _Runs:
             if go[j] and slope >= 0.0:
                 # Corrupted curvature (possible on nonsmooth objectives): fall back to steepest descent.
                 self.h[j], d[j], slope = self.eye, -self.g[j], -float(self.g[j] @ self.g[j])
-            if go[j] and slope == 0.0:  # exactly stationary; step norm is 0 < tol
+            if go[j] and slope == 0.0:  # exactly stationary; step norm is 0 < TOL
                 self.live[j].converged, self.live[j].want = True, _DONE
             elif go[j]:
                 self.live[j].search(slope)
@@ -247,13 +243,10 @@ def bfgs_minimize(
     fun: Callable[[np.ndarray], float],
     grad: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
-    cfg: OptimConfig,
     history: list | None = None,
 ) -> OptimResult:
     """Minimize ``fun`` from ``x0``; never raises on line-search failure."""
-    t0 = time.perf_counter()
-    cfg.validate()
-    return _Runs([x0], cfg, t0, history).run(fun, grad)[0]
+    return _Runs([x0], time.perf_counter(), history).run(fun, grad)[0]
 
 
 Sampler = Callable[[np.random.Generator], np.ndarray]
@@ -279,7 +272,7 @@ def multi_start(
     x0s = list(starts) + [sampler(np.random.default_rng([cfg.seed, k])) for k in range(cfg.restarts)]
     if not x0s:
         raise ValueError("multi_start needs at least one start or restart")
-    runs = _Runs(x0s, cfg, t0, None).run(fun, grad)
+    runs = _Runs(x0s, t0, None).run(fun, grad)
     for run in runs if callback is not None else ():
         callback(run)
     best = min(runs, key=lambda r: r.best_value)  # min keeps the earliest of ties

@@ -118,17 +118,14 @@ def _row_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
     return bits, 1.0 - bits
 
 
-def _kink_level(mat: np.ndarray, n: int) -> float:  # see i_phi_gradient
-    return 2 ** n * np.finfo(float).eps * abs(np.trace(mat))
-
-
 def _gradient(terms, n: int, zero: float) -> np.ndarray:
-    """``i_phi_gradient``'s rows from the value pass's ``terms``; a row of NaN at each kink.
+    """Exact gradient rows of the witness from the value pass's ``terms``; a row of NaN at each kink.
 
-    One batched ``_choice_table`` pass builds 2n derivative tables: table ``b`` has qubit
-    ``b mod n``'s columns replaced by their theta (``b < n``) or phi (``b >= n``) derivatives,
-    so its row ``m`` is the derivative of row ``m`` by that angle of V where the qubit's bit of
-    ``m`` is 0, else of W.
+    The witness is smooth where ``first`` and every diagonal term ``d_m`` under a square root (never
+    negative for a PSD ``rho``) exceed ``zero``.  One batched ``_choice_table`` pass builds 2n
+    derivative tables: table ``b`` has qubit ``b mod n``'s columns replaced by their theta (``b < n``)
+    or phi (``b >= n``) derivatives, so its row ``m`` is the derivative of row ``m`` by that angle of
+    V where the qubit's bit of ``m`` is 0, else of W.
     """
     cols, sin, cos, phase, t, diag_exp, f, first = terms
     smooth = (first > zero) & (diag_exp[:, 1:-1] > zero).all(axis=-1)
@@ -166,33 +163,18 @@ def _gradient(terms, n: int, zero: float) -> np.ndarray:
                            d_first_w - np.sum(bits * d_cross, axis=-1)], axis=-1)
 
 
-def i_phi_gradient(mat: np.ndarray, x: np.ndarray, n: int) -> np.ndarray | None:
-    """Exact gradient of ``i_phi_from_vector`` in ``x``, or None at a kink.
-
-    For a stack ``(k, 4n)`` of points it returns the stacked gradients,
-    with a row of NaN at each kink.  The witness is smooth where
-    ``|first| > 0`` and every product ``d_m d_c`` under a square root is
-    positive, ``d_m`` being the diagonal term of table row ``m`` (never
-    negative for a PSD ``rho``).  Values below the rounding level
-    ``2**n * eps * |tr rho|`` count as zero: at an angle of pi/2 the table
-    holds cos(pi/2) ~ 6e-17, and a zero term comes out near 1e-33.
-    """
-    _check_problem(mat, n)
-    x = as_points(x, 4 * n)
-    g = _gradient(_value_pass(mat, x, n)[1], n, _kink_level(mat, n))
-    return (None if np.isnan(g[0, 0]) else g[0]) if x.ndim == 1 else g
-
-
 def make_phi_problem(mat: np.ndarray, n: int, kinks: list | None = None):
     """``(fun, grad)`` of the negated witness that ``c_phi_estimate`` minimizes, through ``optim.objective``.
 
     The value pass keeps ``_value_pass``'s terms; ``grad`` is exact where the witness is smooth
-    (``i_phi_gradient``).  At a kink, where no gradient exists, the row falls back to central
-    differences of the witness (``fd_gradient``), which average the one-sided slopes within
-    ``lugroup.FD_STEP``; ``kinks``, if given, receives each such point.
+    (``_gradient``).  Terms below the rounding level ``2**n * eps * |tr rho|`` count as zero: at an
+    angle of pi/2 the table holds cos(pi/2) ~ 6e-17, and a zero term comes out near 1e-33.  At a
+    kink, where no gradient exists, the row falls back to central differences of the witness
+    (``fd_gradient``), which average the one-sided slopes within ``lugroup.FD_STEP``; ``kinks``, if
+    given, receives each such point.
     """
     _check_problem(mat, n)
-    zero, kinks = _kink_level(mat, n), [] if kinks is None else kinks
+    zero, kinks = 2 ** n * np.finfo(float).eps * abs(np.trace(mat)), [] if kinks is None else kinks
 
     def values(x: np.ndarray):
         value, terms = _value_pass(mat, x, n)

@@ -50,8 +50,10 @@ def x_projection(rho: DensityMatrix) -> XParams:
 
     No renormalization is performed and no X-validity is enforced: for a
     non-X input the result may violate ``r_k <= sqrt(a_k b_k)``; the
-    concurrence formula below accepts that on purpose.
+    concurrence formula below accepts that on purpose.  Non-finite
+    entries raise ValueError.
     """
+    rho.check_entries()
     m = rho.mat
     dim = m.shape[0]
     n = dim // 2
@@ -107,14 +109,10 @@ def off_x_mask(dim: int) -> np.ndarray:
     return mask
 
 
-def penalty_from_matrix(mat: np.ndarray) -> float:
-    """Sum of |entry|^2 over the strict upper triangle excluding the anti-diagonal."""
-    return float(np.sum(np.abs(mat[_upper_off_x_mask(mat.shape[0])]) ** 2))
-
-
 def penalty_f(rho: DensityMatrix) -> float:
-    """Squared off-X weight of a density matrix; zero iff it is X-form."""
-    return penalty_from_matrix(rho.mat)
+    """Squared off-X weight of a density matrix, summed over the strict upper triangle off the
+    anti-diagonal; zero iff it is X-form."""
+    return float(np.sum(np.abs(rho.mat[_upper_off_x_mask(rho.mat.shape[0])]) ** 2))
 
 
 def gm_lower_bound_x(rho: DensityMatrix) -> float:

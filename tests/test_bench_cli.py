@@ -88,21 +88,28 @@ def test_make_state_rejects_qubit_counts_outside_two_to_eight(n):
         make_state("ds", n, 0.5)
 
 
-@pytest.mark.parametrize("call,name", [
-    (lambda: make_state("ds", 3.5, 0.5), "qubit count"),
-    (lambda: sweep("ds", 3.0, [0.5], CFG), "qubit count"),
-    (lambda: bench_timing("ds", 2, 0.3, "x", reps=1.5, cfg=OptimConfig(restarts=1, seed=1)), "reps"),
-    (lambda: bench_timing("ds", 2, 0.3, "x", reps=True, cfg=OptimConfig(restarts=1, seed=1)), "reps"),
+@pytest.mark.parametrize("call,message", [
+    (lambda: make_state("ds", 3.5, 0.5), "qubit count must be an integer"),
+    (lambda: sweep("ds", 3.0, [0.5], CFG), "qubit count must be an integer"),
+    (lambda: bench_timing("ds", 2, 0.3, "x", reps=1.5, cfg=OptimConfig(restarts=1, seed=1)),
+     "reps must be an integer"),
+    (lambda: bench_timing("ds", 2, 0.3, "x", reps=True, cfg=OptimConfig(restarts=1, seed=1)),
+     "reps must be an integer"),
     (lambda: bench_timing("ds", 2, 0.3, "x", reps=1, cfg=OptimConfig(restarts=1, seed=0.5), threshold=0.5),
-     "seed"),
+     "seed must be an integer"),
     (lambda: bench_timing("ds", 2, 0.3, "x", reps=1, cfg=OptimConfig(restarts=True, seed=1), threshold=0.5),
-     "restarts"),
+     "restarts must be an integer"),
+    # Without a threshold, these would fail only after the threshold estimate.
+    (lambda: bench_timing("dicke", 4, 1.362, "y", reps=1, cfg=OptimConfig(restarts=1, seed=1)),
+     "unknown method 'y'"),
+    (lambda: bench_timing("ds", 2, 0.3, "x", reps=1, cfg=OptimConfig(restarts=1, seed=1), budget=True),
+     "budget must be a number"),
 ], ids=["make_state", "sweep", "bench_timing", "bench_timing-bool-reps", "bench_timing-seed",
-        "bench_timing-bool-restarts"])
-def test_non_integral_counts_fail_at_the_boundary(monkeypatch, call, name):
+        "bench_timing-bool-restarts", "bench_timing-unknown-method", "bench_timing-bool-budget"])
+def test_non_integral_counts_fail_at_the_boundary(monkeypatch, call, message):
     monkeypatch.setattr("gmx.bench.x_heuristic", lambda *a, **k: pytest.fail("an estimate ran"))
     monkeypatch.setattr("gmx.bench._run_attempt", lambda *a, **k: pytest.fail("an attempt ran"))
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+    with pytest.raises(ValueError, match=message):
         call()
 
 
@@ -129,6 +136,7 @@ def test_bench_timing_rejects_zero_restarts(monkeypatch):
 @pytest.mark.parametrize("threshold,budget", [
     (float("nan"), None), (2.0, None), (-0.1, None),
     (0.5, 0.0), (0.5, -1.0), (0.5, float("nan")), (0.5, float("inf")),
+    (True, None), (0.5, True), ("0.5", None),
 ])
 def test_bench_timing_rejects_unreachable_targets(monkeypatch, threshold, budget):
     # A threshold no estimate can meet, or a budget that never cuts off, would loop forever.
@@ -150,6 +158,7 @@ def test_run_manifest_keys():
     for key in ("seed", "tol", "max_iters", "restarts", "prng", "line_search", "build", "command"):
         assert key in doc
     assert "tol_x" not in doc and "tol_fun" not in doc
+    assert doc["tol"] == 1e-11 and doc["max_iters"] == 10_000
 
 
 def test_run_manifest_build_ignores_working_directory(monkeypatch, tmp_path):
@@ -272,6 +281,7 @@ def test_cli_verify_takes_no_optimizer_flags():
     ["estimate", "--state", "{string_re}"],
     ["sweep-ds", "--n", "2", "--points", "-1"],
     ["sweep-dicke", "--n", "3", "--gamma-max", "0"],
+    ["sweep-ds", "--n", "2", "--points", "3", "--restarts=-1"],
 ])
 def test_cli_input_errors_end_like_argparse_errors(tmp_path, args):
     doc = to_json_dict(make_state("ds", 2, 0.3))
@@ -306,38 +316,10 @@ def test_cli_input_errors_end_like_argparse_errors(tmp_path, args):
     for marker, message in (("{ragged_re}", "malformed state JSON: "), ("{string_re}", "malformed state JSON: "),
                             ("-1", "a grid needs a non-negative number of points, got -1"),
                             ("--gamma-min", "gamma grid bounds must be finite and positive"),
-                            ("--gamma-max", "gamma grid bounds must be finite and positive")):
+                            ("--gamma-max", "gamma grid bounds must be finite and positive"),
+                            ("--restarts=-1", "restarts must be >= 0")):
         if marker in args:
             assert last.startswith("gmx: error: " + message), last
     # Rejected before any output: no CSV header, no file.
     assert proc.stdout == ""
     assert not paths["csv"].exists()
-
-
-def test_cli_gmx_tol_env(tmp_path):
-    import os
-
-    out = tmp_path / "s.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "gmx.cli", "sweep-ds", "--n", "2", "--points", "3",
-         "--restarts", "1", "--out", str(out)],
-        capture_output=True, text=True, timeout=300,
-        env={**os.environ, "GMX_TOL": "1e-9"},
-    )
-    assert proc.returncode == 0, proc.stderr
-    manifest = json.loads((tmp_path / "s.manifest.json").read_text())
-    assert manifest["tol"] == 1e-9
-    assert manifest["max_iters"] == 10_000
-
-    # Config errors end like argparse errors: one "gmx: error:" line, status 2.
-    for tol, extra in (("abc", []), ("-1", []), ("1e-9", ["--restarts", "-1"])):
-        proc = subprocess.run(
-            [sys.executable, "-m", "gmx.cli", "sweep-ds", "--n", "2", "--points", "3",
-             "--restarts", "1", *extra],
-            capture_output=True, text=True, timeout=300,
-            env={**os.environ, "GMX_TOL": tol},
-        )
-        assert proc.returncode == 2, (tol, extra, proc.stderr)
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.splitlines()[-1].startswith("gmx: error: ")
-        assert proc.stdout == ""

@@ -11,6 +11,8 @@ that moves the numerics on purpose must regenerate it and say so in
 CHANGES.md; any other change must leave this test passing untouched.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 from gmx.bench import CSV_HEADER, default_tau_grid, sweep
@@ -24,8 +26,18 @@ def estimate_columns(line: str) -> str:
 
 
 def test_sweep_ds_estimate_columns_match_golden_file():
-    # The CLI's sweep-ds configuration: the default tolerance, 8 restarts.
-    cfg = OptimConfig(tol=1e-11, restarts=8, seed=7)
+    # The CLI's sweep-ds configuration: 8 restarts.
+    cfg = OptimConfig(restarts=8, seed=7)
     records = sweep("ds", 3, default_tau_grid(6), cfg, include_phi=True)
     got = [estimate_columns(CSV_HEADER)] + [estimate_columns(r.csv_row()) for r in records]
     assert got == GOLDEN.read_text().splitlines()
+
+
+def test_cli_sweep_ds_estimate_columns_match_golden_file():
+    # The command the file was made with, through the CLI's own configuration path.
+    proc = subprocess.run(
+        [sys.executable, "-m", "gmx.cli", "sweep-ds", "--n", "3", "--points", "6", "--seed", "7", "--phi"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [estimate_columns(line) for line in proc.stdout.splitlines()] == GOLDEN.read_text().splitlines()

@@ -10,7 +10,6 @@ from gmx.optim import OptimConfig, bfgs_minimize, multi_start
 from gmx.phi_scheme import (
     c_phi_estimate,
     i_phi_from_vector,
-    i_phi_gradient,
     make_phi_problem,
     pair_seeds,
 )
@@ -44,7 +43,7 @@ def test_lockstep_matches_one_run_per_start(problem):
     res = multi_start(fun, grad, sampler, cfg, starts=starts, callback=runs.append)
 
     x0s = starts + [sampler(np.random.default_rng([cfg.seed, k])) for k in range(cfg.restarts)]
-    alone = [bfgs_minimize(fun, grad, x0, cfg) for x0 in x0s]
+    alone = [bfgs_minimize(fun, grad, x0) for x0 in x0s]
     best = min(alone, key=lambda r: r.best_value)  # min keeps the earliest of ties
     assert res.best_value == best.best_value
     assert np.array_equal(res.best_point, best.best_point)
@@ -80,7 +79,7 @@ def test_one_start_makes_the_single_point_calls_of_bfgs_minimize():
     fun, grad = make_penalty_problem(rho.mat, 3)
     x0 = warm_starts(3)[1] + 0.1
     solo, multi = [], []
-    bfgs_minimize(*_recording(fun, grad, solo), x0, OptimConfig())
+    bfgs_minimize(*_recording(fun, grad, solo), x0)
     multi_start(*_recording(fun, grad, multi), angle_sampler(3), OptimConfig(restarts=0), starts=[x0])
     assert len(solo) > 2
     assert all(x.ndim == 1 for _, x in solo + multi)
@@ -158,7 +157,7 @@ def test_optimizer_gradients_reuse_the_value_calls_sigma(monkeypatch, n):
     rho = random_density_matrix(n, 3, seed=90 + n)
     runs = [
         lambda f, g: multi_start(f, g, angle_sampler(n), OptimConfig(restarts=4, seed=n), starts=warm_starts(n)),
-        lambda f, g: bfgs_minimize(f, g, warm_starts(n)[1] + 0.1, OptimConfig()),
+        lambda f, g: bfgs_minimize(f, g, warm_starts(n)[1] + 0.1),
     ]
     for run in runs:
         calls.update(dict.fromkeys(calls, 0))
@@ -174,18 +173,16 @@ def test_stacked_phi_rows_equal_single_points(n):
     for rho, kink in ((random_density_matrix(n, 2, seed=50 + n), False), (ghz(n), True)):
         xs = rng.uniform(0.0, 2 * np.pi, (9, 4 * n))
         xs[4] = pair_seeds(np.zeros(2 * n))[0]  # a kink of GHZ(n) only
-        values, grads = i_phi_from_vector(rho.mat, xs, n), i_phi_gradient(rho.mat, xs, n)
-        fun, grad = make_phi_problem(rho.mat, n)
-        problem_grads = grad(xs)
+        values, kinks = i_phi_from_vector(rho.mat, xs, n), []
+        fun, grad = make_phi_problem(rho.mat, n, kinks)
+        grads = grad(xs)
+        assert [k.tolist() for k in kinks] == ([xs[4].tolist()] if kink else [])
         for i, x in enumerate(xs):
             assert values[i] == i_phi_from_vector(rho.mat, x, n)
-            single = i_phi_gradient(rho.mat, x, n)
-            if single is None:
-                assert np.isnan(grads[i]).all()
-            else:
-                assert np.array_equal(grads[i], single)
-            assert np.array_equal(problem_grads[i], grad(x))
-        assert np.isnan(grads[4]).all() == kink
+            single = []  # the kinks of a lone point's problem
+            assert np.array_equal(grads[i], make_phi_problem(rho.mat, n, single)[1](x))
+            assert len(single) == (kink and i == 4)
+            assert np.array_equal(grads[i], grad(x))
 
 
 def _fresh_phi_grad(mat, x, n):
@@ -203,10 +200,7 @@ def test_phi_gradient_stack_mixing_kept_and_new_passes_equals_fresh_rows(n):
         fun(xs[[4, 0, 2]])  # rows 0, 2 and 4 keep their pass, in another order
         grads = grad(xs)
         for g, x in zip(grads, xs):
-            single = i_phi_gradient(rho.mat, x, n)
             assert np.array_equal(g, _fresh_phi_grad(rho.mat, x, n))
-            if single is not None:
-                assert np.array_equal(g, -single)
         assert np.array_equal(grad(xs[[2, 4]]), grads[[2, 4]])  # from the pass that grad(xs) kept
         fun(xs)
         assert np.array_equal(grad(xs), grads)  # every row from the kept pass

@@ -12,7 +12,7 @@ from gmx.lugroup import (
     make_penalty_problem,
     su2,
 )
-from gmx.phi_scheme import i_phi_from_vector, i_phi_gradient, make_phi_problem, pair_seeds
+from gmx.phi_scheme import i_phi_from_vector, make_phi_problem, pair_seeds
 from gmx.states import DickeParams, dicke_steady_state, diagonal_symmetric, random_density_matrix, tau_populations
 from gmx.xform import penalty_f
 from helpers import ghz, loop_kron
@@ -199,15 +199,13 @@ def test_kernels_reject_shapes_they_do_not_take():
 def test_phi_kernels_reject_shapes_they_do_not_take():
     # The phi kernels share the penalty's check of a point (4N,) or a stack (k, 4N).
     rho = random_density_matrix(3, 2, seed=4)
-    kernels = [lambda x: i_phi_from_vector(rho.mat, x, 3), lambda x: i_phi_gradient(rho.mat, x, 3),
-               *make_phi_problem(rho.mat, 3)]
+    kernels = [lambda x: i_phi_from_vector(rho.mat, x, 3), *make_phi_problem(rho.mat, 3)]
     for kernel in kernels:
         for bad in bad_shapes(12):
             with pytest.raises(ValueError, match=r"expected a point \(12,\) or a stack \(k, 12\)"):
                 kernel(bad)
     # An 8x8 matrix given as two qubits: the check names both before numpy fails to reshape.
-    for kernel in (make_phi_problem, lambda mat, n: i_phi_from_vector(mat, np.zeros(4 * n), n),
-                   lambda mat, n: i_phi_gradient(mat, np.zeros(4 * n), n)):
+    for kernel in (make_phi_problem, lambda mat, n: i_phi_from_vector(mat, np.zeros(4 * n), n)):
         with pytest.raises(ValueError, match=r"matrix shape \(8, 8\) does not match n_qubits=2"):
             kernel(rho.mat, 2)
         # One qubit has no bipartition, so no witness.

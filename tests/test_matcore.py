@@ -85,6 +85,15 @@ def test_psd_sqrt_rejects_non_hermitian():
     assert np.abs(s @ s - hermitize(almost)).max() < 1e-15
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_psd_sqrt_rejects_non_finite_entries(bad):
+    # NaN passes the Hermitian check, since every comparison with it is False.
+    a = np.eye(2, dtype=complex)
+    a[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite entries"):
+        psd_sqrt(a)
+
+
 def test_psd_sqrt_identity_and_diagonal():
     assert np.abs(psd_sqrt(np.eye(4, dtype=complex)) - np.eye(4)).max() < 1e-14
     assert np.abs(psd_sqrt(np.diag([4.0, 9.0]).astype(complex)) - np.diag([2.0, 3.0])).max() < 1e-12

@@ -8,7 +8,6 @@ from gmx.optim import OptimConfig
 from gmx.phi_scheme import (
     c_phi_estimate,
     i_phi_from_vector,
-    i_phi_gradient,
     make_phi_problem,
     pair_seeds,
 )
@@ -128,10 +127,10 @@ def test_exact_gradient_matches_central_differences():
     for rho in random_states({2: 32, 3: 32, 4: 32, 5: 32}, seed0=300):
         n = rho.n_qubits
         x = np.concatenate([rng.uniform(0, period, n) for period in (np.pi, 2 * np.pi) * 2])
-        fun, grad = make_phi_problem(rho.mat, n)
-        exact = i_phi_gradient(rho.mat, x, n)
-        assert exact is not None  # a generic point is smooth
-        assert np.array_equal(grad(x), -exact)
+        kinks = []
+        fun, grad = make_phi_problem(rho.mat, n, kinks)
+        exact = -grad(x)
+        assert not kinks  # a generic point is smooth
         fd = -fd_gradient(fun, x)
         worst = max(worst, float(np.linalg.norm(exact - fd) / np.linalg.norm(fd)))
     assert worst <= 1e-6
@@ -146,23 +145,29 @@ def _zero_diagonal_state():
 
 @pytest.mark.parametrize("rho", [ghz(3), _zero_diagonal_state()], ids=["ghz", "zero-diagonal"])
 def test_kinks_fall_back_to_central_differences(rho):
-    x = pair_seeds(np.zeros(6))[0]
-    assert i_phi_gradient(rho.mat, x, 3) is None
-    fun, grad = make_phi_problem(rho.mat, 3)
+    x, kinks = pair_seeds(np.zeros(6))[0], []
+    fun, grad = make_phi_problem(rho.mat, 3, kinks)
     assert np.array_equal(grad(x), fd_gradient(fun, x))
+    assert len(kinks) == 1 and np.array_equal(kinks[0], x)
 
 
 def test_estimate_uses_central_differences_only_at_kinks(monkeypatch):
-    kinks = []
+    points = []
 
     def counted(fun, x, *args):
-        kinks.append(i_phi_gradient(ghz(3).mat, x, 3) is None)
+        points.append(x.copy())
         return fd_gradient(fun, x, *args)
 
     monkeypatch.setattr("gmx.phi_scheme.fd_gradient", counted)
     res = c_phi_estimate(ghz(3), OptimConfig(restarts=2, seed=1))
-    assert kinks and all(kinks)
-    assert res.kink_rows == len(kinks) > 0
+    monkeypatch.undo()
+    # A fresh problem records a kink at each of them.
+    kinks = []
+    grad = make_phi_problem(ghz(3).mat, 3, kinks)[1]
+    for x in points:
+        grad(x)
+    assert points and len(kinks) == len(points)
+    assert res.kink_rows == len(points) > 0
 
 
 def test_c_phi_saturates_on_x_states():

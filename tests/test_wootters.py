@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gmx.lugroup import conjugate
-from gmx.states import DickeParams, dicke_steady_state, pure_state, random_density_matrix
+from gmx.states import DensityMatrix, DickeParams, dicke_steady_state, pure_state, random_density_matrix
 from gmx.wootters import (
     dicke2_closed_form,
     spin_flip_spectrum,
@@ -64,6 +64,15 @@ def test_wootters_bounds():
 def test_wootters_rejects_wrong_size():
     with pytest.raises(ValueError):
         wootters_concurrence(random_density_matrix(3, 2, seed=0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_wootters_rejects_non_finite_entries(bad):
+    rho = random_density_matrix(2, 2, seed=0)
+    mat = rho.mat.copy()
+    mat[1, 2] = mat[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite entries"):
+        wootters_concurrence(DensityMatrix(2, mat))
 
 
 def test_verify_dicke2_equality_grid():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gmx.states import (
+    DensityMatrix,
     DickeParams,
     dicke_steady_state,
     diagonal_symmetric,
@@ -135,9 +136,7 @@ def test_penalty_nonnegative_and_diagonal_phase_invariant():
         assert base >= 0.0
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, rho.dim))
         conjugated = (phases[:, None] * rho.mat) * phases.conj()[None, :]
-        from gmx.xform import penalty_from_matrix
-
-        assert penalty_from_matrix(conjugated) == pytest.approx(base, abs=1e-14)
+        assert penalty_f(DensityMatrix(rho.n_qubits, conjugated)) == pytest.approx(base, abs=1e-14)
 
 
 def test_gm_lower_bound_trivial_for_driven_states():
@@ -149,3 +148,12 @@ def test_gm_lower_bound_trivial_for_driven_states():
 
 def test_gm_lower_bound_ghz4():
     assert gm_lower_bound_x(ghz(4)) == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_gm_lower_bound_rejects_non_finite_anti_diagonal(bad):
+    # A NaN entry would give 0.0 and an infinite one inf, which reads as a certified bound.
+    mat = ghz(3).mat.copy()
+    mat[0, 7] = mat[7, 0] = bad
+    with pytest.raises(ValueError, match="non-finite entries"):
+        gm_lower_bound_x(DensityMatrix(3, mat))
